@@ -83,11 +83,16 @@ def _bool(flag: bool) -> str:
 # -- input resolution ----------------------------------------------------------
 
 
-def _read(path: str) -> bytes:
+def _read(path: str) -> tuple[bytes, str]:
+    """The file's bytes (the provenance payload) and their UTF-8 text."""
     try:
-        return Path(path).read_bytes()
+        data = Path(path).read_bytes()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
+    try:
+        return data, data.decode()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
 
 
 def _load_bicomplex(spec: str):
@@ -100,8 +105,8 @@ def _load_bicomplex(spec: str):
             known = ", ".join(catalog_names())
             raise ParseError(f"unknown catalog entry {name!r} (have: {known})")
         return dc, rs, spec.encode()
-    data = _read(spec)
-    return parse_bicomplex(data.decode()), None, data
+    data, text = _read(spec)
+    return parse_bicomplex(text), None, data
 
 
 def _checked(dc: DoubleComplex) -> DoubleComplex:
@@ -114,8 +119,8 @@ def _checked(dc: DoubleComplex) -> DoubleComplex:
 def _load_lie(spec: str):
     if spec.startswith("abelian:") or spec in ("heisenberg3", "sl2"):
         return lie_by_name(spec), spec.encode()
-    data = _read(spec)
-    return parse_lie(data.decode()), data
+    data, text = _read(spec)
+    return parse_lie(text), data
 
 
 # -- shared report assembly ------------------------------------------------------
@@ -225,8 +230,8 @@ def _solv_like(args, presets, parse, validate, build):
             raise ParseError(f"unknown preset {spec!r}")
         data, payload = presets(case), spec.encode()
     else:
-        raw = _read(spec)
-        data, payload = parse(raw.decode()), raw
+        payload, text = _read(spec)
+        data = parse(text)
     problems = validate(data)
     if problems:
         raise ValidationError(problems[0])

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InternalError, ValidationError
-from .linalg import Matrix, hstack, kernel, kron, rank, vstack
+from .linalg import Matrix, hstack, kron, rank, vstack
 from .scalars import MINUS_ONE, ONE
 from .subspaces import Subspace
 
@@ -186,22 +186,30 @@ def _drop_zeros(table: dict) -> dict:
     return {k: v for k, v in sorted(table.items()) if v}
 
 
+def _cohomology(spaces: dict, out_map, prev) -> dict:
+    """dim ker(out) - rank(in) at every index, zero entries omitted.
+
+    out_map(i) is the map leaving index i and prev(i) the index whose
+    outgoing map enters i; each map is ranked once.
+    """
+    ranks = {i: rank(out_map(i)) for i in spaces}
+    return _drop_zeros(
+        {i: d - ranks[i] - ranks.get(prev(i), 0) for i, d in spaces.items()}
+    )
+
+
 def dolbeault_table(dc: DoubleComplex) -> dict[Bidegree, int]:
     """dim H^{p,q} of the delbar direction, zero entries omitted."""
-    out = {}
-    for (p, q) in dc.bidegrees():
-        m = dc.delbar_map(p, q)
-        out[(p, q)] = (m.ncols - rank(m)) - rank(dc.delbar_map(p, q - 1))
-    return _drop_zeros(out)
+    return _cohomology(
+        dc.spaces, lambda pq: dc.delbar_map(*pq), lambda pq: (pq[0], pq[1] - 1)
+    )
 
 
 def del_table(dc: DoubleComplex) -> dict[Bidegree, int]:
     """dim H^{p,q} of the del direction, zero entries omitted."""
-    out = {}
-    for (p, q) in dc.bidegrees():
-        m = dc.del_map(p, q)
-        out[(p, q)] = (m.ncols - rank(m)) - rank(dc.del_map(p - 1, q))
-    return _drop_zeros(out)
+    return _cohomology(
+        dc.spaces, lambda pq: dc.del_map(*pq), lambda pq: (pq[0] - 1, pq[1])
+    )
 
 
 def bott_chern_table(dc: DoubleComplex) -> dict[Bidegree, int]:
@@ -285,9 +293,6 @@ class TotalComplex:
         self._d_cache[k] = result
         return result
 
-    def cocycles(self, k: int) -> Subspace:
-        return Subspace.from_columns(self.dim(k), kernel(self.d(k)))
-
     def coboundaries(self, k: int) -> Subspace:
         if k - 1 not in self.dims:
             return Subspace.zero(self.dim(k))
@@ -296,11 +301,7 @@ class TotalComplex:
 
 def de_rham_table(dc: DoubleComplex) -> dict[int, int]:
     tot = TotalComplex.of(dc)
-    out = {}
-    for k in tot.degrees:
-        d = tot.d(k)
-        out[k] = (d.ncols - rank(d)) - rank(tot.d(k - 1))
-    return _drop_zeros(out)
+    return _cohomology(tot.dims, tot.d, lambda k: k - 1)
 
 
 def all_tables(dc: DoubleComplex) -> dict[str, dict]:
@@ -367,11 +368,7 @@ class SimpleComplex:
         return self
 
     def cohomology(self) -> dict[int, int]:
-        out = {}
-        for p in sorted(self.spaces):
-            m = self.map(p)
-            out[p] = (m.ncols - rank(m)) - rank(self.map(p - 1))
-        return _drop_zeros(out)
+        return _cohomology(self.spaces, self.map, lambda p: p - 1)
 
     def conjugate(self) -> SimpleComplex:
         return SimpleComplex(
@@ -527,3 +524,31 @@ def labeled_real_structure(
             entries[(row, col)] = sign
         sigma[(p, q)] = Matrix(dc.dim(q, p), dc.dim(p, q), entries)
     return RealStructure(sigma)
+
+
+def labeled_tensor_sum(blocks: list, mapper) -> tuple[DoubleComplex, RealStructure]:
+    """Direct sum of tensor products, with sigma read off basis labels.
+
+    Each block is (tag, a, a_labels, b, b_labels): its summand is
+    tensor_product(a, b), and the basis vector (i, j) of that summand
+    in bidegree (p, q) is labelled tag + (a_labels[p][i], b_labels[q][j]).
+    mapper is as in labeled_real_structure.  The builders validate their
+    data first, so a result that fails the axioms or the sigma checks is
+    an InternalError.
+    """
+    dc, _ = direct_sum([tensor_product(a, b) for _, a, _, b, _ in blocks])
+    labels: dict[Bidegree, list] = {}
+    for tag, _, a_labels, _, b_labels in blocks:
+        for p, left in a_labels.items():
+            for q, right in b_labels.items():
+                labels.setdefault((p, q), []).extend(
+                    tag + (x, y) for x in left for y in right
+                )
+    rs = labeled_real_structure(dc, labels, mapper)
+    bad = dc.validate()
+    if bad:
+        raise InternalError("built complex invalid: " + "; ".join(bad))
+    bad = check_real_structure(dc, rs)
+    if bad:
+        raise InternalError("built sigma invalid: " + "; ".join(bad))
+    return dc, rs

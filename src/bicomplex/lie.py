@@ -31,7 +31,7 @@ from .exterior import (
     exterior_complex,
     grade_basis,
 )
-from .linalg import Matrix, kernel, rank, solve_right
+from .linalg import Matrix, hstack, kernel, rank, solve_right
 from .scalars import ONE, Scalar, ZERO, sc
 from .subspaces import Subspace
 
@@ -106,6 +106,27 @@ def validate_lie(g: LieAlgebra) -> list[str]:
                 if not acc.is_zero:
                     problems.append(f"axiom: Jacobi fails on ({i},{j},{k})")
     return problems
+
+
+def series_terminates(g: LieAlgebra, derived: bool) -> bool:
+    """Whether the derived series of g reaches zero (g is solvable).
+
+    With derived=False it is the lower central series (g is nilpotent).
+    Each term is spanned by the brackets [x, y] with y in the previous
+    term and x in it too (derived) or in g (lower central); a term that
+    does not shrink means the series never reaches zero.
+    """
+    current = Subspace.full(g.dim)
+    while current.dim > 0:
+        b = current.basis
+        a = b if derived else Matrix.identity(g.dim)
+        cols = [g.bracket_vectors(a.column(i), b.column(j))
+                for i in range(a.ncols) for j in range(b.ncols)]
+        nxt = Subspace.from_columns(g.dim, hstack(cols))
+        if nxt.dim >= current.dim:
+            return False
+        current = nxt
+    return True
 
 
 def ce_complex(g: LieAlgebra) -> SimpleComplex:

@@ -27,21 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .complexes import (
-    Bidegree,
-    DoubleComplex,
-    RealStructure,
-    check_real_structure,
-    direct_sum,
-    labeled_real_structure,
-    tensor_product,
-)
-from .errors import InternalError, ValidationError
+from .complexes import DoubleComplex, RealStructure, labeled_tensor_sum
+from .errors import ValidationError
 from .exterior import exterior_complex, grade_basis
-from .lie import LieAlgebra, validate_lie
-from .linalg import hstack
+from .lie import LieAlgebra, series_terminates, validate_lie
 from .scalars import I as IMAG, ONE, Scalar, ZERO, sc
-from .subspaces import Subspace
 
 Key = tuple[Scalar, ...]
 
@@ -92,27 +82,6 @@ def flagged_subsets(sd: SolvData) -> set[frozenset[int]]:
     return base | set(sd.flags)
 
 
-def _derived_series_terminates(g: LieAlgebra) -> bool:
-    current = Subspace.full(g.dim)
-    while current.dim > 0:
-        cols = []
-        b = current.basis
-        for a in range(b.ncols):
-            for c in range(a + 1, b.ncols):
-                v = g.bracket_vectors(b.column(a), b.column(c))
-                if not v.is_zero:
-                    cols.append(v)
-        nxt = (
-            Subspace.from_columns(g.dim, hstack(cols))
-            if cols
-            else Subspace.zero(g.dim)
-        )
-        if nxt.dim >= current.dim:
-            return False
-        current = nxt
-    return True
-
-
 def validate_solv(sd: SolvData) -> list[str]:
     g = sd.algebra
     n = g.dim
@@ -121,7 +90,7 @@ def validate_solv(sd: SolvData) -> list[str]:
         return problems
     if len(sd.weights) != n or any(len(w) != n for w in sd.weights):
         return [f"structure: expected {n} weight covectors of length {n}"]
-    if not _derived_series_terminates(g):
+    if not series_terminates(g, derived=True):
         problems.append("axiom: algebra is not solvable")
     for (i, j), cs in g.brackets.items():
         for k, v in cs.items():
@@ -194,8 +163,7 @@ def build_C(sd: SolvData) -> tuple[DoubleComplex, RealStructure]:
     dgen_h = g.ce_forms()
     dgen_a = {k: {ij: v.conjugate() for ij, v in cs.items()} for k, cs in dgen_h.items()}
 
-    summands = []
-    summand_labels: list[tuple[Key, int, dict, dict]] = []
+    blocks = []
     every_key = sorted(fkeys | {_neg(k) for k in fkeys}, key=_key_sort)
     for mu in every_key:
         tw_h = {j: -mu[j - 1] for j in range(1, n + 1) if mu[j - 1]}
@@ -205,8 +173,7 @@ def build_C(sd: SolvData) -> tuple[DoubleComplex, RealStructure]:
             f2, b2 = exterior_complex(
                 n, dgen_a, twist=tw_a, keep=lambda s, m=mu: keyt[s] == m
             )
-            summands.append(tensor_product(f1, f2))
-            summand_labels.append((mu, 1, b1, b2))
+            blocks.append(((mu, 1), f1, b1, f2, b2))
         if _neg(mu) in fkeys:
             conj_side = (
                 (lambda s, m=mu: keyt[s] != m)
@@ -218,17 +185,7 @@ def build_C(sd: SolvData) -> tuple[DoubleComplex, RealStructure]:
                     n, dgen_h, twist=tw_h, keep=lambda s, m=_neg(mu): keyt[s] == m
                 )
                 f2, b2 = exterior_complex(n, dgen_a, twist=tw_a, keep=conj_side)
-                summands.append(tensor_product(f1, f2))
-                summand_labels.append((mu, 2, b1, b2))
-
-    dc, _ = direct_sum(summands)
-    labels: dict[Bidegree, list] = {}
-    for mu, part, b1, b2 in summand_labels:
-        for p, holl in b1.items():
-            for q, antil in b2.items():
-                labels.setdefault((p, q), []).extend(
-                    (mu, part, hs, as_) for hs in holl for as_ in antil
-                )
+                blocks.append(((mu, 2), f1, b1, f2, b2))
 
     def mapper(p: int, q: int, lab):
         mu, part, hol, anti = lab
@@ -239,14 +196,7 @@ def build_C(sd: SolvData) -> tuple[DoubleComplex, RealStructure]:
             tpart = 1
         return (neg, tpart, anti, hol)
 
-    rs = labeled_real_structure(dc, labels, mapper)
-    bad = dc.validate()
-    if bad:
-        raise InternalError("built complex invalid: " + "; ".join(bad))
-    bad = check_real_structure(dc, rs)
-    if bad:
-        raise InternalError("built sigma invalid: " + "; ".join(bad))
-    return dc, rs
+    return labeled_tensor_sum(blocks, mapper)
 
 
 # -- presets and random data -----------------------------------------------------

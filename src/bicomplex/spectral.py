@@ -22,6 +22,18 @@ are mirrored from the column pages (they agree entry for entry, since
 conjugation identifies the transpose with the original complex);
 force_row recomputes them independently.
 
+`classify` computes the five cohomology tables once and checks both
+page lists against them: E_1 against the Dolbeault table (the del table,
+transposed, for the row pages) and E_infinity against de Rham.
+
+Hodge pieces and purity come from filtered cocycles.  F^p Tot^k is
+spanned by the coordinate blocks with p' >= p, so Z^k ∩ F^p is the
+kernel of d restricted to those columns; F^p H^k is that kernel plus
+B^k, and likewise for F̄^q with q' >= q.  The piece at (p, q) is
+F^p H ∩ F̄^q H, checked against the image of the d-closed (p, q)-forms
+(the kernel of del and delbar stacked), and H^k is pure when the pieces
+of degree k span h^k = dim F^{p_min} H^k as a direct sum.
+
 Pages are emitted up to the hard bound past which every d_r vanishes
 for support-bounded complexes.  Early stabilization is NOT trusted:
 a length-6 staircase has d_1 = d_2 = 0 but d_3 != 0, so any fixed
@@ -33,6 +45,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 from .complexes import (
     Bidegree,
@@ -40,12 +53,13 @@ from .complexes import (
     TotalComplex,
     all_tables,
     de_rham_table,
+    del_table,
     dolbeault_table,
     transpose_complex,
 )
 from .errors import InternalError
-from .linalg import Matrix, kernel
-from .scalars import ONE, ZERO, Scalar
+from .linalg import Matrix, hstack, kernel, vstack
+from .scalars import ZERO, Scalar
 from .subspaces import Subspace
 
 
@@ -73,27 +87,6 @@ class Verdict:
     page1_by_dims: bool
     page1_by_shape: bool | None
     e1_degenerate: bool
-
-
-def _unit_block_subspace(tot: TotalComplex, k: int, pred) -> Subspace:
-    n = tot.dim(k)
-    entries = {}
-    j = 0
-    for pq in tot.parts.get(k, []):
-        if pred(pq):
-            off = tot.offsets[pq]
-            for i in range(tot.source.spaces[pq]):
-                entries[(off + i, j)] = ONE
-                j += 1
-    return Subspace.from_columns(n, Matrix(n, j, entries))
-
-
-def _filt_col(tot: TotalComplex, k: int, p: int) -> Subspace:
-    return _unit_block_subspace(tot, k, lambda pq: pq[0] >= p)
-
-
-def _filt_row(tot: TotalComplex, k: int, q: int) -> Subspace:
-    return _unit_block_subspace(tot, k, lambda pq: pq[1] >= q)
 
 
 def _pivot_pairs(dc: DoubleComplex) -> tuple[list[tuple[Bidegree, Bidegree]], Counter]:
@@ -140,6 +133,10 @@ def _pivot_pairs(dc: DoubleComplex) -> tuple[list[tuple[Bidegree, Bidegree]], Co
     return [(cells[i], cells[j]) for i, j in pairs], unpaired
 
 
+def _transposed(table: dict[Bidegree, int]) -> dict[Bidegree, int]:
+    return {(q, p): d for (p, q), d in table.items()}
+
+
 def spectral_pages(dc: DoubleComplex, filtration: str = "col") -> list[SpectralPage]:
     """All pages through the hard vanishing bound, with d_r ranks.
 
@@ -148,12 +145,22 @@ def spectral_pages(dc: DoubleComplex, filtration: str = "col") -> list[SpectralP
     Dolbeault table (resp. the del table read through the transpose) and
     the last page against de Rham dimensions degree by degree.
     """
-    if filtration == "row":
-        pages = spectral_pages(transpose_complex(dc), "col")
-        return [SpectralPage(pg.r, "row", pg.dims, pg.dr_ranks) for pg in pages]
-    if filtration != "col":
+    if filtration == "col":
+        e1 = dolbeault_table(dc)
+    elif filtration == "row":
+        e1 = _transposed(del_table(dc))
+    else:
         raise ValueError(f"unknown filtration {filtration!r}")
+    return _checked_pages(dc, filtration, e1, de_rham_table(dc))
 
+
+def _checked_pages(
+    dc: DoubleComplex, filtration: str, e1: dict, de_rham: dict
+) -> list[SpectralPage]:
+    """The pages of one filtration, checked against the given E_1 table
+    (in the lattice the pages live in) and de Rham table."""
+    if filtration == "row":
+        dc = transpose_complex(dc)
     support = dc.bidegrees()
     if support:
         pext = max(p for p, _ in support) - min(p for p, _ in support)
@@ -178,7 +185,7 @@ def spectral_pages(dc: DoubleComplex, filtration: str = "col") -> list[SpectralP
                 ranks[col] += 1
         page = SpectralPage(
             r,
-            "col",
+            filtration,
             {pq: dims[pq] for pq in support if dims[pq]},
             {pq: ranks[pq] for pq in support if ranks[pq]},
         )
@@ -194,15 +201,15 @@ def spectral_pages(dc: DoubleComplex, filtration: str = "col") -> list[SpectralP
         pages.append(page)
         prev = page
 
-    if pages[0].dims != dolbeault_table(dc):
-        raise InternalError("page 1 disagrees with Dolbeault dimensions")
+    if pages[0].dims != e1:
+        name = "Dolbeault" if filtration == "col" else "del"
+        raise InternalError(f"page 1 disagrees with {name} dimensions")
     einf = pages[-1].dims
-    drh = de_rham_table(dc)
-    degrees = {p + q for p, q in support} | set(drh)
+    degrees = {p + q for p, q in support} | set(de_rham)
     for k in degrees:
         s = sum(d for (p, q), d in einf.items() if p + q == k)
-        if s != drh.get(k, 0):
-            raise InternalError(f"limit page total {s} != de Rham {drh.get(k, 0)} in degree {k}")
+        if s != de_rham.get(k, 0):
+            raise InternalError(f"limit page total {s} != de Rham {de_rham.get(k, 0)} in degree {k}")
     return pages
 
 
@@ -212,6 +219,16 @@ def degeneration_page(pages: list[SpectralPage]) -> int:
         if pg.dr_ranks:
             last = pg.r
     return max(1, last + 1)
+
+
+def _plus_coboundaries(b: Subspace, rows: Sequence[int], vectors: Matrix) -> Subspace:
+    """span(vectors, placed on the given coordinates of Tot^k) + B^k."""
+    emb = Matrix(
+        b.ambient,
+        vectors.ncols,
+        {(rows[r], c): v for (r, c), v in vectors.entries.items()},
+    )
+    return Subspace.from_columns(b.ambient, hstack([emb, b.basis]))
 
 
 def _pieces(dc: DoubleComplex):
@@ -227,15 +244,27 @@ def _pieces(dc: DoubleComplex):
     qmin = min(q for _, q in support)
     qmax = max(q for _, q in support)
     for k in tot.degrees:
-        z = tot.cocycles(k)
         b = tot.coboundaries(k)
-        hk = z.dim - b.dim
-        col_rep: dict[int, Subspace] = {}
-        row_rep: dict[int, Subspace] = {}
-        for p in range(pmin, pmax + 2):
-            col_rep[p] = z.intersect(_filt_col(tot, k, p)).sum(b)
-        for q in range(qmin, qmax + 2):
-            row_rep[q] = z.intersect(_filt_row(tot, k, q)).sum(b)
+        reps: dict[tuple, Subspace] = {}
+
+        def rep(keep) -> Subspace:
+            # Z^k ∩ (span of the kept blocks) is the kernel of d on their
+            # columns; several p (or q) keep the same blocks
+            blocks = tuple(pq for pq in tot.parts[k] if keep(pq))
+            if blocks not in reps:
+                cols = [
+                    tot.offsets[pq] + i
+                    for pq in blocks
+                    for i in range(dc.spaces[pq])
+                ]
+                reps[blocks] = _plus_coboundaries(
+                    b, cols, kernel(tot.d(k).columns(cols))
+                )
+            return reps[blocks]
+
+        col_rep = {p: rep(lambda pq: pq[0] >= p) for p in range(pmin, pmax + 2)}
+        row_rep = {q: rep(lambda pq: pq[1] >= q) for q in range(qmin, qmax + 2)}
+        hk = col_rep[pmin].dim - b.dim
         for p in range(pmin, pmax + 2):
             fbar_q = k - p
             fb = row_rep.get(fbar_q)
@@ -245,12 +274,10 @@ def _pieces(dc: DoubleComplex):
             )
         total_sum = Subspace.zero(tot.dim(k))
         piece_total = 0
-        for (p, q) in support:
-            if p + q != k:
-                continue
+        for (p, q) in tot.parts[k]:
             u = col_rep[p].intersect(row_rep[q])
             piece = u.dim - b.dim
-            bc_img = _bc_image(dc, tot, p, q).sum(b)
+            bc_img = _bc_image(dc, tot, b, p, q)
             if piece != bc_img.dim - b.dim:
                 raise InternalError(
                     f"filtration intersection {piece} != Bott-Chern image "
@@ -265,14 +292,13 @@ def _pieces(dc: DoubleComplex):
     return HodgePieces(dims, filtration_dims), pure
 
 
-def _bc_image(dc: DoubleComplex, tot: TotalComplex, p: int, q: int) -> Subspace:
-    n = dc.spaces[(p, q)]
-    closed = Subspace.from_columns(n, kernel(dc.del_map(p, q))).intersect(
-        Subspace.from_columns(n, kernel(dc.delbar_map(p, q)))
-    )
+def _bc_image(
+    dc: DoubleComplex, tot: TotalComplex, b: Subspace, p: int, q: int
+) -> Subspace:
+    """The d-closed forms of bidegree (p, q), embedded in Tot^{p+q}, + B."""
+    closed = kernel(vstack([dc.del_map(p, q), dc.delbar_map(p, q)]))
     off = tot.offsets[(p, q)]
-    emb = Matrix(tot.dim(p + q), n, {(off + i, i): ONE for i in range(n)})
-    return Subspace.from_columns(tot.dim(p + q), emb @ closed.basis)
+    return _plus_coboundaries(b, range(off, off + dc.spaces[(p, q)]), closed)
 
 
 def hodge_pieces(dc: DoubleComplex) -> HodgePieces:
@@ -293,16 +319,16 @@ def classify(
     must agree or the engine is broken.  The shape route is left unset;
     the decomposition layer fills it.
     """
-    col = spectral_pages(dc, "col")
+    tables = all_tables(dc)
+    col = _checked_pages(dc, "col", tables["dolbeault"], tables["de_rham"])
     if rs is not None and not force_row:
         row = [SpectralPage(pg.r, "row", dict(pg.dims), dict(pg.dr_ranks)) for pg in col]
     else:
-        row = spectral_pages(dc, "row")
+        row = _checked_pages(dc, "row", _transposed(tables["del"]), tables["de_rham"])
     deg_f = degeneration_page(col)
     deg_fbar = degeneration_page(row)
     _, pure = _pieces(dc)
     all_pure = all(pure.values())
-    tables = all_tables(dc)
     degrees = set()
     for name in ("aeppli", "bott_chern", "dolbeault", "del"):
         degrees |= {p + q for p, q in tables[name]}

@@ -23,18 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (
-    Bidegree,
-    DoubleComplex,
-    RealStructure,
-    check_real_structure,
-    direct_sum,
-    labeled_real_structure,
-    tensor_product,
-)
+from .complexes import DoubleComplex, RealStructure, labeled_tensor_sum
 from .errors import InternalError, ValidationError
 from .exterior import exterior_complex, grade_basis
-from .lie import LieAlgebra, validate_lie
+from .lie import LieAlgebra, series_terminates, validate_lie
 from .scalars import ONE, ZERO, sc
 from .solvable import Key, _key_sort, _neg, _zero_key
 
@@ -85,31 +77,6 @@ def _w_key(cid_a: tuple[Key, Key], cid_b: tuple[Key, Key]) -> Key:
     )
 
 
-def _lower_central_terminates(g: LieAlgebra) -> bool:
-    from .linalg import hstack
-    from .subspaces import Subspace
-
-    full = Subspace.full(g.dim)
-    current = full
-    while current.dim > 0:
-        cols = []
-        for i in range(1, g.dim + 1):
-            b = current.basis
-            for c in range(b.ncols):
-                v = g.ad_matrix(i) @ b.column(c)
-                if not v.is_zero:
-                    cols.append(v)
-        nxt = (
-            Subspace.from_columns(g.dim, hstack(cols))
-            if cols
-            else Subspace.zero(g.dim)
-        )
-        if nxt.dim >= current.dim:
-            return False
-        current = nxt
-    return True
-
-
 def _pair_subsets(m: int) -> list[PairFlag]:
     singles = [frozenset(s) for p in range(m + 1) for s in grade_basis(m, p)]
     return [(a, b) for a in singles for b in singles]
@@ -142,7 +109,7 @@ def validate_splitting(sp: SplittingData) -> list[str]:
     for j, ch in enumerate(sp.phi):
         if len(ch.hol) != n or len(ch.antihol) != n:
             return [f"structure: character {j + 1} has wrong exponent length"]
-    if not _lower_central_terminates(sp.nilp):
+    if not series_terminates(sp.nilp, derived=False):
         problems.append("axiom: fiber algebra is not nilpotent")
     for (i, j), cs in sp.nilp.brackets.items():
         for k, v in cs.items():
@@ -222,8 +189,7 @@ def build_splitting(sp: SplittingData) -> tuple[DoubleComplex, RealStructure]:
         k: {ij: v.conjugate() for ij, v in cs.items()} for k, cs in dgen_h.items()
     }
 
-    summands = []
-    summand_labels = []
+    blocks = []
     wkeys: dict[tuple, Key] = {}
     for ca in classes:
         for cb in classes:
@@ -239,8 +205,7 @@ def build_splitting(sp: SplittingData) -> tuple[DoubleComplex, RealStructure]:
             f2, b2 = exterior_complex(
                 total, dgen_a, keep=lambda s, c=cb: cid_of[ypart(s)] == c
             )
-            summands.append(tensor_product(f1, f2))
-            summand_labels.append((0, ca, cb, b1, b2))
+            blocks.append(((0, ca, cb), f1, b1, f2, b2))
             if any(w):
                 twc = {a: -w[a - 1].conjugate() for a in range(1, n + 1) if w[a - 1]}
                 f1, b1 = exterior_complex(
@@ -249,17 +214,7 @@ def build_splitting(sp: SplittingData) -> tuple[DoubleComplex, RealStructure]:
                 f2, b2 = exterior_complex(
                     total, dgen_a, twist=twc, keep=lambda s, c=ca: cid_of[ypart(s)] == c
                 )
-                summands.append(tensor_product(f1, f2))
-                summand_labels.append((1, ca, cb, b1, b2))
-
-    dc, _ = direct_sum(summands)
-    labels: dict[Bidegree, list] = {}
-    for kind, ca, cb, b1, b2 in summand_labels:
-        for p, holl in b1.items():
-            for q, antil in b2.items():
-                labels.setdefault((p, q), []).extend(
-                    (kind, ca, cb, s1, s2) for s1 in holl for s2 in antil
-                )
+                blocks.append(((1, ca, cb), f1, b1, f2, b2))
 
     def mapper(p: int, q: int, lab):
         kind, ca, cb, s1, s2 = lab
@@ -269,14 +224,7 @@ def build_splitting(sp: SplittingData) -> tuple[DoubleComplex, RealStructure]:
             return (0, cb, ca, s2, s1)
         return (0, ca, cb, s2, s1)
 
-    rs = labeled_real_structure(dc, labels, mapper)
-    bad = dc.validate()
-    if bad:
-        raise InternalError("built complex invalid: " + "; ".join(bad))
-    bad = check_real_structure(dc, rs)
-    if bad:
-        raise InternalError("built sigma invalid: " + "; ".join(bad))
-    return dc, rs
+    return labeled_tensor_sum(blocks, mapper)
 
 
 def nakamura_splitting_preset(case: str) -> SplittingData:

@@ -1,4 +1,4 @@
-"""Definitional spectral pages, kept as a test oracle.
+"""Definitional spectral pages and Hodge pieces, kept as test oracles.
 
 E_r^{p,q} = Z_r / B_r computed straight from the subspace definitions
 of the column filtration F^p = sum of the columns p' >= p:
@@ -10,6 +10,11 @@ and rank d_r is the dimension that d(Z_r) adds to B_r at the target.
 This costs subspace algebra for every (p, q, r), so it only runs on
 small complexes; `bicomplex.spectral_pages` must agree with it page by
 page.  The row filtration is the column filtration of the transpose.
+
+Hodge pieces come straight from their definition too: the classes of
+Z^k ∩ F^p Tot^k (resp. F̄^q) are the subspace (Z^k ∩ F^p) + B^k, with
+Z^k the full kernel of d and F^p the span of its coordinate blocks.
+`bicomplex.hodge_pieces` and `purity_check` must agree with it.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from bicomplex import (
     ONE,
     Subspace,
     TotalComplex,
+    kernel,
     preimage,
     transpose_complex,
 )
@@ -27,17 +33,22 @@ from bicomplex import (
 Page = tuple[int, dict, dict]  # (r, dims, d_r ranks), zero entries omitted
 
 
-def _filt_col(tot: TotalComplex, k: int, p: int) -> Subspace:
+def _blocks(tot: TotalComplex, k: int, keep) -> Subspace:
+    """The span of the bidegree blocks of Tot^k that satisfy keep."""
     n = tot.dim(k)
     entries = {}
     j = 0
     for pq in tot.parts.get(k, []):
-        if pq[0] >= p:
+        if keep(pq):
             off = tot.offsets[pq]
             for i in range(tot.source.spaces[pq]):
                 entries[(off + i, j)] = ONE
                 j += 1
     return Subspace.from_columns(n, Matrix(n, j, entries))
+
+
+def _filt_col(tot: TotalComplex, k: int, p: int) -> Subspace:
+    return _blocks(tot, k, lambda pq: pq[0] >= p)
 
 
 def _zr_br(tot: TotalComplex, p: int, q: int, r: int) -> tuple[Subspace, Subspace]:
@@ -84,3 +95,46 @@ def oracle_pages(dc: DoubleComplex, filtration: str = "col") -> list[Page]:
                 ranks[(p, q)] = rk
         pages.append((r, dims, ranks))
     return pages
+
+
+def oracle_pieces(dc: DoubleComplex) -> tuple[dict, dict, dict]:
+    """(piece dims, filtration dims, purity) as in `bicomplex.HodgePieces`.
+
+    filtration_dims[(k, p)] = (dim F^p H^k, dim F̄^{k-p} H^k) for
+    p_min <= p <= p_max + 1; piece (p, q) = dim of F^p H ∩ F̄^q H; H^k is
+    pure when those pieces span H^k as a direct sum.
+    """
+    tot = TotalComplex.of(dc)
+    support = dc.bidegrees()
+    dims, filtration_dims, pure = {}, {}, {}
+    if not support:
+        return dims, filtration_dims, pure
+    pmin, pmax = min(p for p, _ in support), max(p for p, _ in support)
+    qmin, qmax = min(q for _, q in support), max(q for _, q in support)
+    for k in tot.degrees:
+        z = Subspace.from_columns(tot.dim(k), kernel(tot.d(k)))
+        b = tot.coboundaries(k)
+        hk = z.dim - b.dim
+        col = {
+            p: z.intersect(_blocks(tot, k, lambda pq: pq[0] >= p)).sum(b)
+            for p in range(pmin, pmax + 2)
+        }
+        row = {
+            q: z.intersect(_blocks(tot, k, lambda pq: pq[1] >= q)).sum(b)
+            for q in range(qmin, qmax + 2)
+        }
+        for p in range(pmin, pmax + 2):
+            fb = row.get(k - p)
+            filtration_dims[(k, p)] = (
+                col[p].dim - b.dim,
+                fb.dim - b.dim if fb is not None else (hk if k - p < qmin else 0),
+            )
+        total, piece_total = Subspace.zero(tot.dim(k)), 0
+        for (p, q) in tot.parts[k]:
+            u = col[p].intersect(row[q])
+            if u.dim > b.dim:
+                dims[(p, q)] = u.dim - b.dim
+            piece_total += u.dim - b.dim
+            total = total.sum(u)
+        pure[k] = total.dim - b.dim == piece_total == hk
+    return dims, filtration_dims, pure

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from conftest import run_cli, run_cli_err
 
 WEDGE_CLASSIFY = """\
@@ -98,6 +100,23 @@ def test_parse_failures_exit_1(capsys, tmp_path):
     assert code == 1 and err.startswith("parse error: line 1")
     code, _ = run_cli(capsys, ["cohomology", str(tmp_path / "missing.bicomplex")])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "verb",
+    ["validate", "cohomology", "fss", "classify", "decompose", "lie", "solv",
+     "splitting", "ssmodel"],
+)
+def test_non_utf8_file_is_a_parse_error(capsys, tmp_path, verb):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"space 0 0 1\n# \xff\n")
+    argv = [verb, str(bad)]
+    if verb == "ssmodel":
+        argv = [verb, "--algebra", str(bad), "--betti", "1"]
+    code, err = run_cli_err(capsys, argv)
+    assert code == 1
+    assert err.startswith("parse error:") and "not UTF-8" in err
+    assert err.count("\n") == 1
 
 
 def test_argparse_errors_exit_1(capsys):

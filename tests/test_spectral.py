@@ -18,9 +18,9 @@ from bicomplex import (
     shuffle_basis,
     spectral_pages,
 )
-from bicomplex import spectral
+from bicomplex import complexes, spectral
 from conftest import staircase
-from spectral_oracle import oracle_pages
+from spectral_oracle import oracle_pages, oracle_pieces
 
 
 def test_first_page_is_dolbeault_everywhere():
@@ -191,3 +191,42 @@ def test_postconditions_catch_a_wrong_pairing(monkeypatch):
     monkeypatch.setattr(spectral, "_pivot_pairs", lambda dc: (pairs, Counter()))
     with pytest.raises(InternalError, match="Dolbeault"):
         spectral_pages(dc, "col")
+
+
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_hodge_pieces_match_definitional_oracle(case):
+    dc = ORACLE_CASES[case]()
+    hp = hodge_pieces(dc)
+    assert (hp.dims, hp.filtration_dims, purity_check(dc)) == oracle_pieces(dc)
+
+
+TABLES = ("dolbeault_table", "del_table", "bott_chern_table", "aeppli_table",
+          "de_rham_table")
+
+
+def test_classify_computes_each_table_once(monkeypatch):
+    calls = Counter()
+    for name in TABLES:
+        original = getattr(complexes, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in (complexes, spectral):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    dc = staircase(6)
+    classify(dc)
+    assert calls == Counter(TABLES)
+
+    # every delbar map is fetched once and every fetched map ranked once
+    fetched, ranked = Counter(), []
+    delbar_map, original_rank = dc.delbar_map, complexes.rank
+    monkeypatch.setattr(
+        dc, "delbar_map", lambda p, q: fetched.update([(p, q)]) or delbar_map(p, q)
+    )
+    monkeypatch.setattr(complexes, "rank", lambda m: ranked.append(m) or original_rank(m))
+    complexes.dolbeault_table(dc)
+    assert fetched == Counter(dc.spaces)
+    assert len(ranked) == len(dc.spaces)
