@@ -76,6 +76,17 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgError(message)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a page cap or a number of seeds."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
@@ -365,11 +376,11 @@ def build_parser() -> _Parser:
     p = add("fss", _cmd_fss)
     p.add_argument("input", help="bicomplex file or catalog:<name>")
     p.add_argument("--filtration", choices=("col", "row", "both"), default="col")
-    p.add_argument("--max-page", type=int, default=None)
+    p.add_argument("--max-page", type=_positive_int, default=None)
 
     p = add("classify", _cmd_classify)
     p.add_argument("input", help="bicomplex file or catalog:<name>")
-    p.add_argument("--max-page", type=int, default=None)
+    p.add_argument("--max-page", type=_positive_int, default=None)
 
     p = add("lie", _cmd_lie)
     p.add_argument("input", help="algebra file or abelian:<n>|heisenberg3|sl2")
@@ -377,14 +388,14 @@ def build_parser() -> _Parser:
     for name, handler in (("solv", _cmd_solv), ("splitting", _cmd_splitting)):
         p = add(name, handler)
         p.add_argument("input", help="data file or nakamura:<identically|real>")
-        p.add_argument("--max-page", type=int, default=None)
+        p.add_argument("--max-page", type=_positive_int, default=None)
 
     p = add("ssmodel", _cmd_ssmodel)
     p.add_argument("--algebra", required=True)
     p.add_argument("--betti", required=True, help="comma-separated, e.g. 1,2,2,1")
 
     p = add("selftest", _cmd_selftest)
-    p.add_argument("--seeds", type=int, default=200)
+    p.add_argument("--seeds", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -17,6 +17,12 @@ absorption that adds one string into another along their trailing
 overlap.  The absorber choice (shortest sink-terminated hit if one
 exists, else the longest source-terminated hit) is exactly the case
 in which the vertex-wise addition preserves exactness on both ends.
+Each candidate source vector is read by one solve of its delbar image
+against the string ends already in its target: a miss starts a new
+line, closed at once by the candidate; a hit clears the closed ends
+through the source vectors that closed them, and what is left must be
+exactly the open hits.  No complement or inverse of the target space is
+formed per candidate.
 
 Nothing here is trusted: the final change of basis is inverted per
 bidegree and conjugation must reproduce the block model literally,
@@ -135,24 +141,24 @@ class _String:
     __slots__ = ("verts",)
 
     def __init__(self, verts):
-        self.verts = verts  # [(bidegree, coords w.r.t. pair-start actives)]
+        self.verts = verts  # [(bidegree, coords w.r.t. the level's snapshot actives)]
 
     def sink_terminated(self, k: int) -> bool:
         p0, q0 = self.verts[0][0]
         return p0 + q0 == k + 1
 
 
-class _Registry:
-    """Per-sink bookkeeping during one level pair."""
+@dataclass
+class _End:
+    """A string's vertex in a target space; open until a source closes it."""
 
-    __slots__ = ("n", "entries")
+    string: _String
+    vid: int
+    closer: Matrix | None = None  # the source vector whose image is this end
 
-    def __init__(self, n: int):
-        self.n = n
-        self.entries = []  # [ {string, open, closer} ]; vector lives in the string
-
-    def columns(self) -> list[Matrix]:
-        return [e["string"].verts[e["vid"]][1] for e in self.entries]
+    @property
+    def vector(self) -> Matrix:
+        return self.string.verts[self.vid][1]
 
 
 def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix]) -> list[_RawPart]:
@@ -161,10 +167,9 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix]) -> list[_RawPart]:
     if not support:
         return parts
     levels = sorted({p + q for (p, q) in support})
-    pair_start = {pq: act[pq] for pq in support}
     for k in range(levels[0], levels[-1] + 1):
         sources = sorted(pq for pq in support if pq[0] + pq[1] == k)
-        regs: dict[Bidegree, _Registry] = {}
+        ends: dict[Bidegree, list[_End]] = {}
         strings: list[_String] = []
         snapshot = {pq: act[pq] for pq in support}
         for (p, q) in sources:
@@ -176,79 +181,52 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix]) -> list[_RawPart]:
             t_right = (p + 1, q)
             tl_basis = snapshot.get(t_left, Matrix.zero(0, 0))
             tr_basis = snapshot.get(t_right, Matrix.zero(0, 0))
-            nl, nr = tl_basis.ncols, tr_basis.ncols
             lmat = _restricted(tl_basis, dc.delbar_map(p, q), sbasis)
             rmat = _restricted(tr_basis, dc.del_map(p, q), sbasis)
-            reg_l = regs.setdefault(t_left, _Registry(nl)) if nl else None
+            left = ends.setdefault(t_left, [])
             ker = kernel(rmat)
             _, piv = rref(rmat)
             candidates = [("ker", ker.column(j)) for j in range(ker.ncols)]
             candidates += [("piv", _unit(ns, c)) for c in piv]
-            closers: dict[int, Matrix] = {}
             for kind, v in candidates:
-                hit_string = None
-                if reg_l is not None and reg_l.n:
-                    cols = reg_l.columns()
-                    compl = (
-                        _unit_complement(hstack(cols))
-                        if cols
-                        else Matrix.identity(reg_l.n)
-                    )
-                    basis = hstack(cols + [compl]) if cols else compl
-                    binv = inverse(basis)
-                    coords = binv @ (lmat @ v)
-                    for i, entry in enumerate(reg_l.entries):
+                lv = lmat @ v
+                ends_l = hstack([Matrix.zero(lv.nrows, 0)] + [e.vector for e in left])
+                coords = solve_right(ends_l, lv)
+                if coords is None:
+                    # the image leaves the span of the ends: a new line, closed by v
+                    hit_string = _String([(t_left, lv), ((p, q), v)])
+                    strings.append(hit_string)
+                    left.append(_End(hit_string, 0, closer=v))
+                else:
+                    hits = []
+                    for i, end in enumerate(left):
                         mu = coords.get(i, 0)
-                        if not entry["open"] and mu:
-                            v = v - closers[i].scale(mu)
-                    lv = lmat @ v
-                    coords = binv @ lv
-                    if any(
-                        coords.get(i, 0)
-                        for i, e in enumerate(reg_l.entries)
-                        if not e["open"]
-                    ):
+                        if mu and end.closer is not None:
+                            v = v - end.closer.scale(mu)
+                        elif mu:
+                            hits.append((i, mu, end.string))
+                    want = sum(
+                        (left[i].vector.scale(mu) for i, mu, _ in hits),
+                        Matrix.zero(lv.nrows, 1),
+                    )
+                    if lmat @ v != want:
                         raise InternalError(
                             f"closed component survives clearing at ({p},{q})"
                         )
-                    residual = any(
-                        coords.get(i, 0) for i in range(len(reg_l.entries), reg_l.n)
-                    )
-                    hits = [
-                        (i, coords.get(i, 0))
-                        for i, e in enumerate(reg_l.entries)
-                        if e["open"] and coords.get(i, 0)
-                    ]
-                    if residual:
-                        st = _String([(t_left, lv), ((p, q), v)])
-                        strings.append(st)
-                        reg_l.entries.append({"string": st, "vid": 0, "open": False})
-                        closers[len(reg_l.entries) - 1] = v
-                        hit_string = st
-                    elif len(hits) == 1:
-                        i, lam = hits[0]
-                        v = v.scale(ONE / lam)
-                        st = reg_l.entries[i]["string"]
-                        st.verts.append(((p, q), v))
-                        reg_l.entries[i]["open"] = False
-                        closers[i] = v
-                        hit_string = st
-                    elif len(hits) >= 2:
-                        hit_objs = [
-                            (i, lam, reg_l.entries[i]["string"]) for i, lam in hits
-                        ]
-                        sinks = [
-                            h for h in hit_objs if h[2].sink_terminated(k)
-                        ]
+                    if not hits:
+                        hit_string = _String([((p, q), v)])
+                        strings.append(hit_string)
+                    else:
+                        sinks = [h for h in hits if h[2].sink_terminated(k)]
                         if sinks:
                             ai, alam, a = min(
                                 sinks, key=lambda h: (len(h[2].verts), h[0])
                             )
                         else:
                             ai, alam, a = min(
-                                hit_objs, key=lambda h: (-len(h[2].verts), h[0])
+                                hits, key=lambda h: (-len(h[2].verts), h[0])
                             )
-                        for bi, blam, b in hit_objs:
+                        for bi, blam, b in hits:
                             if bi == ai:
                                 continue
                             mu = blam / alam
@@ -263,12 +241,8 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix]) -> list[_RawPart]:
                                 a.verts[-i] = (bid_a, va + vb.scale(mu))
                         v = v.scale(ONE / alam)
                         a.verts.append(((p, q), v))
-                        reg_l.entries[ai]["open"] = False
-                        closers[ai] = v
+                        left[ai].closer = v
                         hit_string = a
-                if hit_string is None:
-                    hit_string = _String([((p, q), v)])
-                    strings.append(hit_string)
                 if kind == "piv":
                     rv = rmat @ v
                     if rv.is_zero:
@@ -276,22 +250,15 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix]) -> list[_RawPart]:
                             f"frontier collapsed at ({p},{q}) level {k}"
                         )
                     hit_string.verts.append((t_right, rv))
-                    reg = regs.setdefault(t_right, _Registry(nr))
-                    reg.entries.append(
-                        {
-                            "string": hit_string,
-                            "vid": len(hit_string.verts) - 1,
-                            "open": True,
-                        }
+                    ends.setdefault(t_right, []).append(
+                        _End(hit_string, len(hit_string.verts) - 1)
                     )
         for (p, q) in sources:
             act[(p, q)] = Matrix.zero(dc.spaces[(p, q)], 0)
-        for bid, reg in regs.items():
-            cols = reg.columns()
-            if not cols:
-                continue
-            compl = _unit_complement(hstack(cols))
-            act[bid] = snapshot[bid] @ compl
+        for bid, lst in ends.items():
+            if lst:
+                compl = _unit_complement(hstack([e.vector for e in lst]))
+                act[bid] = snapshot[bid] @ compl
         for st in strings:
             parts.append(
                 _RawPart(

@@ -1,8 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bicomplex
+from bicomplex.cli import main
 from conftest import run_cli, run_cli_err
 
 WEDGE_CLASSIFY = """\
@@ -125,6 +129,24 @@ def test_argparse_errors_exit_1(capsys):
     assert run_cli(capsys, ["classify", "catalog:dot", "--format", "yaml"])[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--seeds", "-3"],
+        ["selftest", "--seeds", "0"],
+        ["fss", "catalog:wedge", "--max-page", "-1"],
+        ["classify", "catalog:wedge", "--max-page", "0"],
+        ["solv", "nakamura:real", "--max-page", "0"],
+        ["splitting", "nakamura:real", "--max-page", "-2"],
+    ],
+)
+def test_non_positive_counts_exit_1(capsys, argv):
+    code = main(argv + ["--format", "machine"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: argument") and len(err.splitlines()) == 1
+
+
 def test_fss_filtration_flag(capsys):
     code, out = run_cli(
         capsys, ["fss", "catalog:hline", "--filtration", "both", "--format", "machine"]
@@ -233,10 +255,15 @@ def test_selftest_small(capsys, tmp_path, monkeypatch):
 
 
 def test_console_script_help():
+    # the child imports the same package as the tests, wherever it lives
+    src = str(Path(bicomplex.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
         [sys.executable, "-m", "bicomplex.cli", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "classify" in proc.stdout
