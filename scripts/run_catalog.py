@@ -4,7 +4,7 @@ one classification line per complex.
 Columns: name, total dimension, degeneration pages (column/row filtration),
 del-delbar lemma, page-1 by definition/dims/shape, purity.
 
-Usage: python scripts/run_catalog.py
+Usage: PYTHONPATH=src python scripts/run_catalog.py
 """
 from bicomplex import (
     all_tables,

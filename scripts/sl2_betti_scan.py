@@ -4,7 +4,7 @@ E2-model for sl2 and report which ones admit the symmetric model.
 Only (1, 0, 0, 1) should pass; every other vector breaks the E2
 symmetry at the bidegrees printed in the asym column.
 
-Usage: python scripts/sl2_betti_scan.py [--max 3]
+Usage: PYTHONPATH=src python scripts/sl2_betti_scan.py [--max 3]
 """
 import argparse
 

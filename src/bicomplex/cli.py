@@ -8,7 +8,8 @@ designators for built-in complexes, algebra names (`abelian:<n>`,
 
 Exit codes: 0 success, 1 parse error (bad arguments, malformed files,
 unknown names), 2 validation failure, 3 internal consistency failure
-(route disagreement or a broken engine postcondition).
+(route disagreement, a broken engine postcondition or any other
+exception, such as MemoryError: one `internal error: ...` line).
 
 Output is deterministic.  `--format machine` emits only the grammar
 lines documented in reports.py; `--format text` adds '#' comments, so
@@ -25,7 +26,7 @@ from collections import Counter
 from pathlib import Path
 
 from .catalog import catalog_complex, catalog_names
-from .complexes import DoubleComplex, all_tables
+from .complexes import DoubleComplex, all_tables, de_rham_table
 from .errors import InternalError, ParseError, ValidationError
 from .files import (
     parse_bicomplex,
@@ -52,7 +53,7 @@ from .reports import (
     verdict_lines,
 )
 from .solvable import build_C, nakamura_preset, random_solvable, validate_solv
-from .spectral import classify, spectral_pages, degeneration_page
+from .spectral import _checked_pages, _reduce, classify, degeneration_page
 from .splitting import (
     build_splitting,
     nakamura_splitting_preset,
@@ -194,16 +195,13 @@ def _cmd_fss(args):
     dc, _, payload = _load_bicomplex(args.input)
     _checked(dc)
     lines = provenance_lines(payload)
-    if args.filtration in ("col", "both"):
-        pages = spectral_pages(dc, "col")
-        lines += ["# column filtration pages"]
-        lines += page_lines(pages, "col", args.max_page)
-        lines.append(f"degeneration_F {degeneration_page(pages)}")
-    if args.filtration in ("row", "both"):
-        pages = spectral_pages(dc, "row")
-        lines += ["# row filtration pages"]
-        lines += page_lines(pages, "row", args.max_page)
-        lines.append(f"degeneration_Fbar {degeneration_page(pages)}")
+    de_rham = de_rham_table(dc)  # shared by both filtrations
+    for filtration, name, label in (("col", "column", "F"), ("row", "row", "Fbar")):
+        if args.filtration in (filtration, "both"):
+            pages = _checked_pages(_reduce(dc, filtration), de_rham)
+            lines += [f"# {name} filtration pages"]
+            lines += page_lines(pages, filtration, args.max_page)
+            lines.append(f"degeneration_{label} {degeneration_page(pages)}")
     return 0, lines
 
 
@@ -414,8 +412,9 @@ def main(argv=None) -> int:
     except ValidationError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return 2
-    except InternalError as e:
-        print(f"internal error: {e}", file=sys.stderr)
+    except Exception as e:  # InternalError, or MemoryError, RecursionError, any bug
+        kind = "" if isinstance(e, InternalError) else f"{type(e).__name__}: "
+        print(f"internal error: {kind}{e}".replace("\n", " "), file=sys.stderr)
         return 3
     sys.stdout.write(render(lines, args.format))
     return code

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from .errors import InternalError, ValidationError
 from .linalg import Matrix, hstack, kron, rank, vstack
 from .scalars import MINUS_ONE, ONE
-from .subspaces import Subspace
 
 Bidegree = tuple[int, int]
 
@@ -292,11 +291,6 @@ class TotalComplex:
         result = Matrix(self.dim(k + 1), self.dim(k), entries)
         self._d_cache[k] = result
         return result
-
-    def coboundaries(self, k: int) -> Subspace:
-        if k - 1 not in self.dims:
-            return Subspace.zero(self.dim(k))
-        return Subspace.from_columns(self.dim(k), self.d(k - 1))
 
 
 def de_rham_table(dc: DoubleComplex) -> dict[int, int]:

@@ -17,22 +17,24 @@ on every page; they make up E_infinity.
 
 Both filtrations are handled by one engine: the row sequence is the
 column sequence of the transposed complex and is reported in the
-transposed lattice.  When a real structure is supplied the row pages
-are mirrored from the column pages (they agree entry for entry, since
-conjugation identifies the transpose with the original complex);
-force_row recomputes them independently.
+transposed lattice.  With a real structure, conjugation identifies the
+transpose with the complex, so `classify` checks that the row pages
+equal the column pages, dims and d_r ranks.
 
 `classify` computes the five cohomology tables once and checks both
 page lists against them: E_1 against the Dolbeault table (the del table,
 transposed, for the row pages) and E_infinity against de Rham.
 
-Hodge pieces and purity come from filtered cocycles.  F^p Tot^k is
-spanned by the coordinate blocks with p' >= p, so Z^k ∩ F^p is the
-kernel of d restricted to those columns; F^p H^k is that kernel plus
-B^k, and likewise for F̄^q with q' >= q.  The piece at (p, q) is
-F^p H ∩ F̄^q H, checked against the image of the d-closed (p, q)-forms
-(the kernel of del and delbar stacked), and H^k is pure when the pieces
-of degree k span h^k = dim F^{p_min} H^k as a direct sum.
+Hodge pieces and purity come from the same two reductions, which track
+the column operations V (de Silva-Morozov-Vejdemo-Johansson, "Dualities
+in persistent (co)homology", 2011).  Unpaired cell j gets the cocycle
+z_j = V_j with lowest cell j; the [z_j] with p(j) >= p are a basis of
+F^p H.  The reduced columns and the z_j have distinct lows and span the
+cocycles, so clearing a cocycle's lowest cell by them, again and again,
+gives its class coordinates.  There F^p H is a coordinate subspace and
+F̄^q H is spanned by the transposed reduction's cocycles w_i with
+q(i) >= q; the piece F^p H ∩ F̄^q H is checked against the d-closed
+(p, q)-forms, and H^k is pure when its pieces span it as a direct sum.
 
 Pages are emitted up to the hard bound past which every d_r vanishes
 for support-bounded complexes.  Early stabilization is NOT trusted:
@@ -44,23 +46,21 @@ the last page carrying a nonzero differential, plus one.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 from .complexes import (
     Bidegree,
     DoubleComplex,
-    TotalComplex,
     all_tables,
     de_rham_table,
-    del_table,
     dolbeault_table,
     transpose_complex,
 )
 from .errors import InternalError
-from .linalg import Matrix, hstack, kernel, vstack
-from .scalars import ZERO, Scalar
-from .subspaces import Subspace
+from .linalg import Matrix, hstack, kernel, rank, vstack
+from .scalars import ONE, ZERO, Scalar
+
+Column = dict[int, Scalar]  # cell index -> nonzero entry
 
 
 @dataclass
@@ -89,19 +89,43 @@ class Verdict:
     e1_degenerate: bool
 
 
-def _pivot_pairs(dc: DoubleComplex) -> tuple[list[tuple[Bidegree, Bidegree]], Counter]:
-    """Persistence pairs of del + delbar under the column filtration.
+@dataclass
+class _Reduction:
+    """The reduction of dc's column filtration (dc is the transpose for
+    "row"): R per low and z_j per unpaired cell j, each 1 at its low."""
 
-    Returns one (low row bidegree, column bidegree) per pivot pair, and
-    the number of unpaired cells per bidegree.
-    """
+    filtration: str
+    dc: DoubleComplex
+    cells: list[Bidegree]
+    start: dict[Bidegree, int]
+    pairs: list[tuple[int, int]]  # (low, column)
+    reduced: dict[int, Column]
+    cocycles: dict[int, Column]
+
+
+def _subtract(col: Column, f: Scalar, other: Column) -> None:
+    """col -= f * other, in place."""
+    for i, v in other.items():
+        nv = col.get(i, ZERO) - f * v
+        if nv:
+            col[i] = nv
+        else:
+            del col[i]
+
+
+def _reduce(dc: DoubleComplex, filtration: str) -> _Reduction:
+    """The persistence reduction of one filtration, tracking V."""
+    if filtration == "row":
+        dc = transpose_complex(dc)
+    elif filtration != "col":
+        raise ValueError(f"unknown filtration {filtration!r}")
     order = sorted(dc.spaces, reverse=True)  # descending p, then descending q
     start: dict[Bidegree, int] = {}
     cells: list[Bidegree] = []
     for pq in order:
         start[pq] = len(cells)
         cells += [pq] * dc.spaces[pq]
-    columns: list[dict[int, Scalar]] = [{} for _ in cells]
+    columns: list[Column] = [{} for _ in cells]
     for (p, q) in order:
         for tgt, m in (
             ((p + 1, q), dc.del_map(p, q)),
@@ -110,31 +134,30 @@ def _pivot_pairs(dc: DoubleComplex) -> tuple[list[tuple[Bidegree, Bidegree]], Co
             if tgt in start:
                 for (r, c), v in m.entries.items():
                     columns[start[(p, q)] + c][start[tgt] + r] = v
-    reduced: dict[int, dict[int, Scalar]] = {}  # low row -> its column, 1 at the low
+    # low -> its reduced column R and the V of R, both scaled to 1 at the low
+    reduced: dict[int, Column] = {}
+    ops: dict[int, Column] = {}
+    cocycles: dict[int, Column] = {}
     pairs: list[tuple[int, int]] = []
     for j, col in enumerate(columns):
+        v_j: Column = {j: ONE}
         while col:
             low = max(col)
             piv = reduced.get(low)
             if piv is None:
                 inv = col[low].inverse()
                 reduced[low] = {i: inv * v for i, v in col.items()}
+                ops[low] = {i: inv * v for i, v in v_j.items()}
                 pairs.append((low, j))
                 break
             f = col[low]
-            for i, v in piv.items():
-                nv = col.get(i, ZERO) - f * v
-                if nv:
-                    col[i] = nv
-                else:
-                    del col[i]
-    paired = {i for pair in pairs for i in pair}
-    unpaired = Counter(pq for i, pq in enumerate(cells) if i not in paired)
-    return [(cells[i], cells[j]) for i, j in pairs], unpaired
-
-
-def _transposed(table: dict[Bidegree, int]) -> dict[Bidegree, int]:
-    return {(q, p): d for (p, q), d in table.items()}
+            _subtract(col, f, piv)
+            _subtract(v_j, f, ops[low])
+        else:
+            cocycles[j] = v_j
+    for low, _ in pairs:  # a cocycle that is a low bounds: no class
+        cocycles.pop(low, None)
+    return _Reduction(filtration, dc, cells, start, pairs, reduced, cocycles)
 
 
 def spectral_pages(dc: DoubleComplex, filtration: str = "col") -> list[SpectralPage]:
@@ -145,32 +168,22 @@ def spectral_pages(dc: DoubleComplex, filtration: str = "col") -> list[SpectralP
     Dolbeault table (resp. the del table read through the transpose) and
     the last page against de Rham dimensions degree by degree.
     """
-    if filtration == "col":
-        e1 = dolbeault_table(dc)
-    elif filtration == "row":
-        e1 = _transposed(del_table(dc))
-    else:
-        raise ValueError(f"unknown filtration {filtration!r}")
-    return _checked_pages(dc, filtration, e1, de_rham_table(dc))
+    return _checked_pages(_reduce(dc, filtration), de_rham_table(dc))
 
 
-def _checked_pages(
-    dc: DoubleComplex, filtration: str, e1: dict, de_rham: dict
-) -> list[SpectralPage]:
-    """The pages of one filtration, checked against the given E_1 table
-    (in the lattice the pages live in) and de Rham table."""
-    if filtration == "row":
-        dc = transpose_complex(dc)
-    support = dc.bidegrees()
-    if support:
-        pext = max(p for p, _ in support) - min(p for p, _ in support)
-        qext = max(q for _, q in support) - min(q for _, q in support)
-        bound = min(pext, qext + 1)
-    else:
-        bound = 0
+def _checked_pages(red: _Reduction, de_rham: dict, e1: dict | None = None) -> list[SpectralPage]:
+    """The pages of one reduction, checked against the de Rham table and
+    the E_1 table in the lattice the pages live in (by default the
+    Dolbeault table of red.dc: for the row pages, the del table transposed)."""
+    if e1 is None:
+        e1 = dolbeault_table(red.dc)
+    support = red.dc.bidegrees()
+    ps, qs = [p for p, _ in support], [q for _, q in support]
+    bound = min(max(ps) - min(ps), max(qs) - min(qs) + 1) if support else 0
     last_page = max(2, bound + 2)
 
-    pairs, unpaired = _pivot_pairs(dc)
+    pairs = [(red.cells[i], red.cells[j]) for i, j in red.pairs]
+    unpaired = Counter(red.cells[j] for j in red.cocycles)
     pages: list[SpectralPage] = []
     prev: SpectralPage | None = None
     for r in range(1, last_page + 1):
@@ -185,7 +198,7 @@ def _checked_pages(
                 ranks[col] += 1
         page = SpectralPage(
             r,
-            filtration,
+            red.filtration,
             {pq: dims[pq] for pq in support if dims[pq]},
             {pq: ranks[pq] for pq in support if ranks[pq]},
         )
@@ -202,7 +215,7 @@ def _checked_pages(
         prev = page
 
     if pages[0].dims != e1:
-        name = "Dolbeault" if filtration == "col" else "del"
+        name = "Dolbeault" if red.filtration == "col" else "del"
         raise InternalError(f"page 1 disagrees with {name} dimensions")
     einf = pages[-1].dims
     degrees = {p + q for p, q in support} | set(de_rham)
@@ -221,126 +234,116 @@ def degeneration_page(pages: list[SpectralPage]) -> int:
     return max(1, last + 1)
 
 
-def _plus_coboundaries(b: Subspace, rows: Sequence[int], vectors: Matrix) -> Subspace:
-    """span(vectors, placed on the given coordinates of Tot^k) + B^k."""
-    emb = Matrix(
-        b.ambient,
-        vectors.ncols,
-        {(rows[r], c): v for (r, c), v in vectors.entries.items()},
-    )
-    return Subspace.from_columns(b.ambient, hstack([emb, b.basis]))
+def _class_matrix(red: _Reduction, place: dict[int, int], cocycles: list[Column]) -> Matrix:
+    """Class coordinates of cocycles, one column each; row place[j] is [z_j]."""
+    entries = {}
+    for c, vec in enumerate(cocycles):
+        vec = dict(vec)
+        while vec:
+            low = max(vec)
+            f = vec[low]
+            basis = red.reduced.get(low)
+            if basis is None:
+                basis = red.cocycles.get(low)
+                if basis is None:
+                    raise InternalError(f"Hodge pieces: cocycle meets cell {low} "
+                                        f"at {red.cells[low]}, neither a low nor unpaired")
+                entries[(place[low], c)] = f
+            _subtract(vec, f, basis)
+    return Matrix(len(place), len(cocycles), entries)
 
 
-def _pieces(dc: DoubleComplex):
-    tot = TotalComplex.of(dc)
+def _pieces(col: _Reduction, row: _Reduction) -> tuple[HodgePieces, dict[int, bool]]:
+    """Hodge pieces and purity from the two reductions of one complex."""
+    dc = col.dc
     support = dc.bidegrees()
-    dims: dict[Bidegree, int] = {}
-    filtration_dims: dict[tuple[int, int], tuple[int, int]] = {}
-    pure: dict[int, bool] = {}
-    if not support:
-        return HodgePieces(dims, filtration_dims), pure
-    pmin = min(p for p, _ in support)
-    pmax = max(p for p, _ in support)
-    qmin = min(q for _, q in support)
-    qmax = max(q for _, q in support)
-    for k in tot.degrees:
-        b = tot.coboundaries(k)
-        reps: dict[tuple, Subspace] = {}
+    ps = [p for p, _ in support]
+    dims, filtration_dims, pure = {}, {}, {}
 
-        def rep(keep) -> Subspace:
-            # Z^k ∩ (span of the kept blocks) is the kernel of d on their
-            # columns; several p (or q) keep the same blocks
-            blocks = tuple(pq for pq in tot.parts[k] if keep(pq))
-            if blocks not in reps:
-                cols = [
-                    tot.offsets[pq] + i
-                    for pq in blocks
-                    for i in range(dc.spaces[pq])
-                ]
-                reps[blocks] = _plus_coboundaries(
-                    b, cols, kernel(tot.d(k).columns(cols))
-                )
-            return reps[blocks]
+    def untransposed(t: int) -> int:
+        q, p = row.cells[t]
+        return col.start[(p, q)] + t - row.start[(q, p)]
 
-        col_rep = {p: rep(lambda pq: pq[0] >= p) for p in range(pmin, pmax + 2)}
-        row_rep = {q: rep(lambda pq: pq[1] >= q) for q in range(qmin, qmax + 2)}
-        hk = col_rep[pmin].dim - b.dim
-        for p in range(pmin, pmax + 2):
-            fbar_q = k - p
-            fb = row_rep.get(fbar_q)
-            filtration_dims[(k, p)] = (
-                col_rep[p].dim - b.dim,
-                fb.dim - b.dim if fb is not None else (hk if fbar_q < qmin else 0),
-            )
-        total_sum = Subspace.zero(tot.dim(k))
-        piece_total = 0
-        for (p, q) in tot.parts[k]:
-            u = col_rep[p].intersect(row_rep[q])
-            piece = u.dim - b.dim
-            bc_img = _bc_image(dc, tot, b, p, q)
-            if piece != bc_img.dim - b.dim:
-                raise InternalError(
-                    f"filtration intersection {piece} != Bott-Chern image "
-                    f"{bc_img.dim - b.dim} at ({p},{q})"
-                )
-            if piece:
-                dims[(p, q)] = piece
-            piece_total += piece
-            total_sum = total_sum.sum(u)
-        direct = total_sum.dim - b.dim == piece_total
-        pure[k] = direct and piece_total == hk
+    # each w_i with its bidegree, in the cells of the column reduction
+    conj = [
+        (col.cells[untransposed(i)], {untransposed(t): v for t, v in w.items()})
+        for i, w in sorted(row.cocycles.items())
+    ]
+    for k in sorted({p + q for p, q in support}):
+        basis = [j for j in sorted(col.cocycles) if sum(col.cells[j]) == k]
+        place = {j: n for n, j in enumerate(basis)}
+        hk = len(basis)
+        conj_k = [(pq, w) for pq, w in conj if sum(pq) == k]
+        wq = [q for (_, q), _ in conj_k]
+        w = _class_matrix(col, place, [w for _, w in conj_k])
+        rk = rank(w)
+        if (w.ncols, rk) != (hk, hk):
+            raise InternalError(f"Hodge pieces: {w.ncols} conjugate-filtration cocycles "
+                                f"of rank {rk} in degree {k}, expected h^{k} = {hk}")
+        zp = [col.cells[j][0] for j in basis]
+        for p in range(min(ps), max(ps) + 2):
+            filtration_dims[(k, p)] = (sum(pj >= p for pj in zp), sum(q >= k - p for q in wq))
+        spans = []
+        for (p, q) in (pq for pq in support if sum(pq) == k):
+            # F̄^q is spanned by its columns of w; F^p is zero off its rows
+            fbar = w.columns([c for c, qc in enumerate(wq) if qc >= q])
+            span = fbar @ kernel(fbar.rows([n for n, pj in enumerate(zp) if pj < p]))
+            closed = kernel(vstack([dc.del_map(p, q), dc.delbar_map(p, q)]))
+            forms: list[Column] = [{} for _ in range(closed.ncols)]
+            for (r, c), v in closed.entries.items():
+                forms[c][col.start[(p, q)] + r] = v
+            bc = rank(_class_matrix(col, place, forms))
+            if span.ncols != bc:
+                raise InternalError(f"filtration intersection {span.ncols} != "
+                                    f"Bott-Chern image {bc} at ({p},{q})")
+            if span.ncols:
+                dims[(p, q)] = span.ncols
+            spans.append(span)
+        total = sum(s.ncols for s in spans)
+        pure[k] = total == hk and rank(hstack(spans)) == hk
     return HodgePieces(dims, filtration_dims), pure
 
 
-def _bc_image(
-    dc: DoubleComplex, tot: TotalComplex, b: Subspace, p: int, q: int
-) -> Subspace:
-    """The d-closed forms of bidegree (p, q), embedded in Tot^{p+q}, + B."""
-    closed = kernel(vstack([dc.del_map(p, q), dc.delbar_map(p, q)]))
-    off = tot.offsets[(p, q)]
-    return _plus_coboundaries(b, range(off, off + dc.spaces[(p, q)]), closed)
-
-
 def hodge_pieces(dc: DoubleComplex) -> HodgePieces:
-    return _pieces(dc)[0]
+    """Nonzero dims of the pieces F^p H ∩ F̄^q H^{p+q}, and filtration_dims
+    (k, p) -> (dim F^p H^k, dim F̄^{k-p} H^k) for p_min <= p <= p_max + 1."""
+    return _pieces(_reduce(dc, "col"), _reduce(dc, "row"))[0]
 
 
 def purity_check(dc: DoubleComplex) -> dict[int, bool]:
-    return _pieces(dc)[1]
+    """Per total degree k: whether H^k is the direct sum of its pieces
+    F^p H ∩ F̄^{k-p} H, i.e. carries a pure Hodge structure of weight k."""
+    return _pieces(_reduce(dc, "col"), _reduce(dc, "row"))[1]
 
 
-def classify(
-    dc: DoubleComplex, rs=None, force_row: bool = False
-) -> tuple[Verdict, list[SpectralPage], list[SpectralPage]]:
+def classify(dc: DoubleComplex, rs=None) -> tuple[Verdict, list[SpectralPage], list[SpectralPage]]:
     """Verdict plus both page lists (column first).
 
     Routes: definition (degeneration pages + purity) and the dimension
     identity (Aeppli + Bott-Chern = Dolbeault + del per total degree)
     must agree or the engine is broken.  The shape route is left unset;
-    the decomposition layer fills it.
+    the decomposition layer fills it.  With a real structure rs, the row
+    pages must equal the column pages.
     """
     tables = all_tables(dc)
-    col = _checked_pages(dc, "col", tables["dolbeault"], tables["de_rham"])
-    if rs is not None and not force_row:
-        row = [SpectralPage(pg.r, "row", dict(pg.dims), dict(pg.dr_ranks)) for pg in col]
-    else:
-        row = _checked_pages(dc, "row", _transposed(tables["del"]), tables["de_rham"])
+    col_red, row_red = _reduce(dc, "col"), _reduce(dc, "row")
+    col = _checked_pages(col_red, tables["de_rham"], tables["dolbeault"])
+    del_t = {(q, p): d for (p, q), d in tables["del"].items()}
+    row = _checked_pages(row_red, tables["de_rham"], del_t)
+    if rs is not None and row != [replace(pg, filtration="row") for pg in col]:
+        raise InternalError("row pages differ from column pages despite a real structure")
     deg_f = degeneration_page(col)
     deg_fbar = degeneration_page(row)
-    _, pure = _pieces(dc)
+    _, pure = _pieces(col_red, row_red)
     all_pure = all(pure.values())
-    degrees = set()
-    for name in ("aeppli", "bott_chern", "dolbeault", "del"):
-        degrees |= {p + q for p, q in tables[name]}
-    by_dims = True
-    for k in degrees:
-        lhs = sum(d for (p, q), d in tables["aeppli"].items() if p + q == k)
-        lhs += sum(d for (p, q), d in tables["bott_chern"].items() if p + q == k)
-        rhs = sum(d for (p, q), d in tables["dolbeault"].items() if p + q == k)
-        rhs += sum(d for (p, q), d in tables["del"].items() if p + q == k)
-        if lhs != rhs:
-            by_dims = False
-            break
+
+    def total(names: tuple[str, str], k: int) -> int:
+        return sum(d for n in names for (p, q), d in tables[n].items() if p + q == k)
+
+    by_dims = all(
+        total(("aeppli", "bott_chern"), k) == total(("dolbeault", "del"), k)
+        for k in {p + q for n in tables if n != "de_rham" for p, q in tables[n]}
+    )
     by_def = deg_f <= 2 and deg_fbar <= 2 and all_pure
     if by_def != by_dims:
         raise InternalError(

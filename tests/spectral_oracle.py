@@ -11,10 +11,12 @@ This costs subspace algebra for every (p, q, r), so it only runs on
 small complexes; `bicomplex.spectral_pages` must agree with it page by
 page.  The row filtration is the column filtration of the transpose.
 
-Hodge pieces come straight from their definition too: the classes of
-Z^k ∩ F^p Tot^k (resp. F̄^q) are the subspace (Z^k ∩ F^p) + B^k, with
-Z^k the full kernel of d and F^p the span of its coordinate blocks.
-`bicomplex.hodge_pieces` and `purity_check` must agree with it.
+Hodge pieces come straight from their definition too, by subspace
+algebra over Tot^k: the classes of Z^k ∩ F^p Tot^k (resp. F̄^q) are the
+subspace (Z^k ∩ F^p) + B^k, with Z^k the full kernel of d, B^k its image
+from Tot^{k-1} and F^p the span of the coordinate blocks with p' >= p.
+`bicomplex.hodge_pieces` and `purity_check`, which read the same dims off
+the class coordinates of two persistence reductions, must agree with it.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def oracle_pieces(dc: DoubleComplex) -> tuple[dict, dict, dict]:
     qmin, qmax = min(q for _, q in support), max(q for _, q in support)
     for k in tot.degrees:
         z = Subspace.from_columns(tot.dim(k), kernel(tot.d(k)))
-        b = tot.coboundaries(k)
+        b = Subspace.from_columns(tot.dim(k), tot.d(k - 1))
         hk = z.dim - b.dim
         col = {
             p: z.intersect(_blocks(tot, k, lambda pq: pq[0] >= p)).sum(b)

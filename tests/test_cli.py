@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import bicomplex
+from bicomplex import cli, complexes, spectral
 from bicomplex.cli import main
 from conftest import run_cli, run_cli_err
 
@@ -160,6 +161,51 @@ def test_fss_filtration_flag(capsys):
     assert code == 0
     assert "degeneration_F" not in out.replace("degeneration_Fbar", "")
     assert "e col" not in out
+
+
+def test_fss_both_computes_de_rham_once(monkeypatch, capsys):
+    calls = []
+    original = complexes.de_rham_table
+    for module in (complexes, spectral, cli):
+        if getattr(module, "de_rham_table", None) is original:
+            monkeypatch.setattr(
+                module, "de_rham_table", lambda dc: calls.append(dc) or original(dc)
+            )
+    code, _ = run_cli(
+        capsys,
+        ["fss", "catalog:heisenberg3-invariant", "--filtration", "both",
+         "--format", "machine"],
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "callee, argv",
+    [
+        ("ce_complex", ["lie", "abelian:2"]),
+        ("decompose", ["classify", "catalog:square"]),
+        ("classify", ["solv", "nakamura:real"]),
+    ],
+)
+@pytest.mark.parametrize(
+    "error",
+    [
+        MemoryError("cannot allocate"),
+        RecursionError("maximum recursion depth exceeded"),
+        ZeroDivisionError("inverse of zero scalar"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_other_exceptions_exit_3_with_one_line(monkeypatch, capsys, callee, argv, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, callee, fail)
+    code = main(argv + ["--format", "machine"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == f"internal error: {type(error).__name__}: {error}\n"
 
 
 def test_classify_max_page_caps_output(capsys, tmp_path):

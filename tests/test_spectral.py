@@ -1,11 +1,14 @@
+import dataclasses
 from collections import Counter
 
 import pytest
 
 from bicomplex import (
+    ONE,
     InternalError,
     all_tables,
     build_C,
+    build_splitting,
     catalog_complex,
     classify,
     degeneration_page,
@@ -13,6 +16,7 @@ from bicomplex import (
     invariant_bicomplex,
     lie_by_name,
     nakamura_preset,
+    nakamura_splitting_preset,
     purity_check,
     random_zigzag_sum,
     shuffle_basis,
@@ -144,11 +148,17 @@ def test_mirror_row_pages_match_honest_recomputation():
         lambda: invariant_bicomplex(lie_by_name("sl2")),
         lambda: build_C(nakamura_preset("identically")),
     ):
+        # a real structure makes the row pages a mirror of the column pages
         dc, rs = make()
-        _, _, mirrored = classify(dc, rs)
-        _, _, honest = classify(dc, rs, force_row=True)
-        assert [pg.dims for pg in mirrored] == [pg.dims for pg in honest]
-        assert degeneration_page(mirrored) == degeneration_page(honest)
+        _, col, row = classify(dc, rs)
+        honest = spectral_pages(dc, "row")
+        assert [(pg.dims, pg.dr_ranks) for pg in row] == [
+            (pg.dims, pg.dr_ranks) for pg in honest
+        ]
+        assert [(pg.dims, pg.dr_ranks) for pg in row] == [
+            (pg.dims, pg.dr_ranks) for pg in col
+        ]
+        assert degeneration_page(row) == degeneration_page(honest)
 
 
 def test_spectral_pages_rejects_unknown_filtration():
@@ -169,7 +179,17 @@ ORACLE_CASES = {
         f"zigzags{seed}": lambda seed=seed: shuffle_basis(
             random_zigzag_sum(seed)[0], seed + 10**6
         )
-        for seed in (0, 1, 2, 3)
+        for seed in (0, 1, 2, 3, 4, 5, 6, 7)  # 4..7 are impure
+    },
+    **{
+        f"nakamura-{flavor}": lambda flavor=flavor: build_C(nakamura_preset(flavor))[0]
+        for flavor in ("identically", "real")
+    },
+    **{
+        f"splitting-{flavor}": lambda flavor=flavor: build_splitting(
+            nakamura_splitting_preset(flavor)
+        )[0]
+        for flavor in ("identically", "real")
     },
 }
 
@@ -187,10 +207,68 @@ def test_pages_match_definitional_oracle(case, filtration):
 def test_postconditions_catch_a_wrong_pairing(monkeypatch):
     # dropping every unpaired cell leaves E_1 short of the Dolbeault table
     dc = staircase(5)
-    pairs, _ = spectral._pivot_pairs(dc)
-    monkeypatch.setattr(spectral, "_pivot_pairs", lambda dc: (pairs, Counter()))
+    reduce = spectral._reduce
+    monkeypatch.setattr(
+        spectral,
+        "_reduce",
+        lambda dc, filtration: dataclasses.replace(reduce(dc, filtration), cocycles={}),
+    )
     with pytest.raises(InternalError, match="Dolbeault"):
         spectral_pages(dc, "col")
+
+
+def _corrupt_row_cocycle(monkeypatch, corrupt):
+    """Let corrupt(reduction, unpaired cell) edit one w_i of every row
+    reduction, in a degree that also has a paired column."""
+    reduce = spectral._reduce
+
+    def patched(dc, filtration):
+        red = reduce(dc, filtration)
+        if filtration == "row":
+            degree = {sum(red.cells[j]) for _, j in red.pairs}
+            i = min(i for i in red.cocycles if sum(red.cells[i]) in degree)
+            corrupt(red, i)
+        return red
+
+    monkeypatch.setattr(spectral, "_reduce", patched)
+
+
+def test_pieces_reject_a_cocycle_that_is_not_closed(monkeypatch):
+    # a paired column's cell has d != 0, so its unit vector is no cocycle
+    def corrupt(red, i):
+        red.cocycles[i] = {
+            next(j for _, j in red.pairs if sum(red.cells[j]) == sum(red.cells[i])): ONE
+        }
+
+    _corrupt_row_cocycle(monkeypatch, corrupt)
+    dc, _ = catalog_complex("heisenberg3-invariant")
+    with pytest.raises(InternalError, match="Hodge pieces: cocycle meets cell"):
+        classify(dc)
+
+
+def test_pieces_reject_conjugate_cocycles_short_of_h(monkeypatch):
+    def corrupt(red, i):
+        red.cocycles[i] = {}
+
+    _corrupt_row_cocycle(monkeypatch, corrupt)
+    dc, _ = catalog_complex("heisenberg3-invariant")
+    with pytest.raises(InternalError, match="Hodge pieces: .* expected h\\^"):
+        hodge_pieces(dc)
+
+
+def test_real_structure_requires_row_pages_equal_to_column_pages(monkeypatch):
+    checked = spectral._checked_pages
+
+    def doctored(red, de_rham, e1=None):
+        pages = checked(red, de_rham, e1)
+        if red.filtration == "row":
+            pages[-1].dr_ranks[(0, 0)] = 1
+        return pages
+
+    monkeypatch.setattr(spectral, "_checked_pages", doctored)
+    dc, rs = catalog_complex("heisenberg3-invariant")
+    with pytest.raises(InternalError, match="real structure"):
+        classify(dc, rs)
 
 
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
