@@ -7,7 +7,8 @@ Scalars use the literal grammar of `scalars.parse_scalar`.
 bicomplex   space <p> <q> <dim>
             del <p> <q> <row> <col> <scalar>
             delbar <p> <q> <row> <col> <scalar>
-            bidegrees and matrix indices 0-based; omitted entries zero.
+            bidegrees and matrix indices 0-based; omitted entries zero;
+            dims summing past MAX_TOTAL_DIM are a ValidationError.
 
 lie algebra dim <n>
             bracket <i> <j> <k> <scalar>        # [X_i,X_j] has c X_k, i<j, 1-based
@@ -31,7 +32,7 @@ lexicographically, so write(parse(write(x))) == write(x) byte for byte.
 from __future__ import annotations
 
 from .complexes import Bidegree, DoubleComplex
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 from .lie import LieAlgebra
 from .linalg import Matrix
 from .scalars import Scalar, ZERO, format_scalar, parse_scalar
@@ -70,6 +71,8 @@ def _arity(tokens: list[str], n: int, lineno: int) -> None:
 
 # -- bicomplex files -----------------------------------------------------------
 
+MAX_TOTAL_DIM = 4096  # the most a bicomplex file's space dims may sum to
+
 
 def parse_bicomplex(text: str) -> DoubleComplex:
     spaces: dict[Bidegree, int] = {}
@@ -78,6 +81,7 @@ def parse_bicomplex(text: str) -> DoubleComplex:
         "delbar": {},
     }
     deferred: list[tuple[int, str, int, int, int, int, Scalar]] = []
+    total = 0
     for lineno, toks in _records(text):
         kind = toks[0]
         if kind == "space":
@@ -88,6 +92,9 @@ def parse_bicomplex(text: str) -> DoubleComplex:
             if dim <= 0:
                 raise ParseError(f"line {lineno}: dimension must be positive")
             spaces[(p, q)] = dim
+            total += dim
+            if total > MAX_TOTAL_DIM:
+                raise ValidationError(f"line {lineno}: total dimension {total} > {MAX_TOTAL_DIM}")
         elif kind in ("del", "delbar"):
             _arity(toks, 6, lineno)
             p, q, row, col = (_int(t, lineno) for t in toks[1:5])

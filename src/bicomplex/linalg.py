@@ -1,9 +1,9 @@
 """Sparse exact linear algebra over Q(i).
 
 Matrices are stored as dicts mapping (row, col) -> Scalar with no zero
-entries.  All eliminations pick the leftmost pivot column and, within a
-column, the smallest available row index, so every result is a
-deterministic function of the input.
+entries.  `rref` picks the leftmost pivot column and, within it, the
+smallest available row; `Echelon` keys sparse columns by their largest
+row.  Every result is a deterministic function of the input.
 """
 
 from __future__ import annotations
@@ -320,3 +320,49 @@ def inverse(a: Matrix) -> Matrix:
     if x is None:
         raise ValueError("matrix is not invertible")
     return x
+
+
+# -- incremental column echelon ----------------------------------------------
+
+Column = dict[int, Scalar]  # row -> nonzero entry
+
+
+def _subtract(col: Column, f: Scalar, other: Column) -> None:
+    """col -= f * other, in place."""
+    for i, v in other.items():
+        nv = col.get(i, ZERO) - f * v
+        if nv:
+            col[i] = nv
+        else:
+            del col[i]
+
+
+@dataclass
+class Echelon:
+    """Sparse columns keyed by their low (largest nonzero row), 1 there, each
+    with its ops: the combination of what the added columns stand for."""
+
+    cols: dict[int, Column] = field(default_factory=dict)
+    ops: dict[int, Column] = field(default_factory=dict)
+
+    def reduce(self, col: Column, ops: Column) -> int | None:
+        """Clear col's low by the stored column there while one exists, in
+        place, doing the same to ops.  The remaining low, or None."""
+        while col:
+            low = max(col)
+            piv = self.cols.get(low)
+            if piv is None:
+                return low
+            f = col[low]
+            _subtract(col, f, piv)
+            _subtract(ops, f, self.ops[low])
+        return None
+
+    def add(self, col: Column, ops: Column) -> int | None:
+        """Reduce col, then keep what is left under its low (returned)."""
+        low = self.reduce(col, ops)
+        if low is not None:
+            inv = col[low].inverse()
+            self.cols[low] = {i: inv * v for i, v in col.items()}
+            self.ops[low] = {i: inv * v for i, v in ops.items()}
+        return low

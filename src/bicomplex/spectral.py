@@ -7,13 +7,13 @@ the total differential del + delbar (Edelsbrunner-Letscher-Zomorodian,
 filtrations", Expo. Math. 2017).  The cells are the basis vectors of
 all spaces, ordered by descending p, then descending q; in that order
 every F^p is a prefix and del + delbar is strictly upper triangular.
-The columns are reduced left to right, each pivot being its lowest
-nonzero row.  A pivot pair with its low row at (p_i, q_i) and its
-column at (p_j, q_j) has length r = p_i - p_j: it is a d_r from
-(p_j, q_j) to (p_i, q_i), so it adds 1 to E_s at both bidegrees for
-every 1 <= s <= r and 1 to the rank of d_r at (p_j, q_j).  Pairs of
-length 0 are cancelled by delbar already on E_0.  Unpaired cells count
-on every page; they make up E_infinity.
+The columns are added left to right to a `linalg.Echelon`, each pivot
+being its lowest nonzero row.  A pivot pair with its low row at
+(p_i, q_i) and its column at (p_j, q_j) has length r = p_i - p_j: it is
+a d_r from (p_j, q_j) to (p_i, q_i), so it adds 1 to E_s at both
+bidegrees for every 1 <= s <= r and 1 to the rank of d_r at (p_j, q_j).
+Pairs of length 0 are cancelled by delbar already on E_0.  Unpaired
+cells count on every page; they make up E_infinity.
 
 Both filtrations are handled by one engine: the row sequence is the
 column sequence of the transposed complex and is reported in the
@@ -30,11 +30,11 @@ the column operations V (de Silva-Morozov-Vejdemo-Johansson, "Dualities
 in persistent (co)homology", 2011).  Unpaired cell j gets the cocycle
 z_j = V_j with lowest cell j; the [z_j] with p(j) >= p are a basis of
 F^p H.  The reduced columns and the z_j have distinct lows and span the
-cocycles, so clearing a cocycle's lowest cell by them, again and again,
-gives its class coordinates.  There F^p H is a coordinate subspace and
-F̄^q H is spanned by the transposed reduction's cocycles w_i with
-q(i) >= q; the piece F^p H ∩ F̄^q H is checked against the d-closed
-(p, q)-forms, and H^k is pure when its pieces span it as a direct sum.
+cocycles, so reducing a cocycle by them in one echelon, with z_j
+standing for [z_j], gives its class coordinates.  There F^p H is a
+coordinate subspace, F̄^q H is spanned by the transposed reduction's
+cocycles w_i with q(i) >= q, the piece F^p H ∩ F̄^q H is checked against
+the d-closed (p, q)-forms, and H^k is pure if its pieces sum directly to it.
 
 Pages are emitted up to the hard bound past which every d_r vanishes
 for support-bounded complexes.  Early stabilization is NOT trusted:
@@ -57,10 +57,8 @@ from .complexes import (
     transpose_complex,
 )
 from .errors import InternalError
-from .linalg import Matrix, hstack, kernel, rank, vstack
-from .scalars import ONE, ZERO, Scalar
-
-Column = dict[int, Scalar]  # cell index -> nonzero entry
+from .linalg import Column, Echelon, Matrix, hstack, kernel, rank, vstack
+from .scalars import ONE
 
 
 @dataclass
@@ -92,25 +90,15 @@ class Verdict:
 @dataclass
 class _Reduction:
     """The reduction of dc's column filtration (dc is the transpose for
-    "row"): R per low and z_j per unpaired cell j, each 1 at its low."""
+    "row"): R with its V per low and z_j per unpaired cell j, each 1 at its low."""
 
     filtration: str
     dc: DoubleComplex
     cells: list[Bidegree]
     start: dict[Bidegree, int]
     pairs: list[tuple[int, int]]  # (low, column)
-    reduced: dict[int, Column]
+    echelon: Echelon
     cocycles: dict[int, Column]
-
-
-def _subtract(col: Column, f: Scalar, other: Column) -> None:
-    """col -= f * other, in place."""
-    for i, v in other.items():
-        nv = col.get(i, ZERO) - f * v
-        if nv:
-            col[i] = nv
-        else:
-            del col[i]
 
 
 def _reduce(dc: DoubleComplex, filtration: str) -> _Reduction:
@@ -134,30 +122,19 @@ def _reduce(dc: DoubleComplex, filtration: str) -> _Reduction:
             if tgt in start:
                 for (r, c), v in m.entries.items():
                     columns[start[(p, q)] + c][start[tgt] + r] = v
-    # low -> its reduced column R and the V of R, both scaled to 1 at the low
-    reduced: dict[int, Column] = {}
-    ops: dict[int, Column] = {}
+    ech = Echelon()  # R per low, with its V as ops
     cocycles: dict[int, Column] = {}
     pairs: list[tuple[int, int]] = []
     for j, col in enumerate(columns):
         v_j: Column = {j: ONE}
-        while col:
-            low = max(col)
-            piv = reduced.get(low)
-            if piv is None:
-                inv = col[low].inverse()
-                reduced[low] = {i: inv * v for i, v in col.items()}
-                ops[low] = {i: inv * v for i, v in v_j.items()}
-                pairs.append((low, j))
-                break
-            f = col[low]
-            _subtract(col, f, piv)
-            _subtract(v_j, f, ops[low])
-        else:
+        low = ech.add(col, v_j)
+        if low is None:
             cocycles[j] = v_j
+        else:
+            pairs.append((low, j))
     for low, _ in pairs:  # a cocycle that is a low bounds: no class
         cocycles.pop(low, None)
-    return _Reduction(filtration, dc, cells, start, pairs, reduced, cocycles)
+    return _Reduction(filtration, dc, cells, start, pairs, ech, cocycles)
 
 
 def spectral_pages(dc: DoubleComplex, filtration: str = "col") -> list[SpectralPage]:
@@ -234,22 +211,18 @@ def degeneration_page(pages: list[SpectralPage]) -> int:
     return max(1, last + 1)
 
 
-def _class_matrix(red: _Reduction, place: dict[int, int], cocycles: list[Column]) -> Matrix:
+def _class_matrix(red: _Reduction, ech: Echelon, place: dict[int, int],
+                  cocycles: list[Column]) -> Matrix:
     """Class coordinates of cocycles, one column each; row place[j] is [z_j]."""
     entries = {}
     for c, vec in enumerate(cocycles):
-        vec = dict(vec)
-        while vec:
-            low = max(vec)
-            f = vec[low]
-            basis = red.reduced.get(low)
-            if basis is None:
-                basis = red.cocycles.get(low)
-                if basis is None:
-                    raise InternalError(f"Hodge pieces: cocycle meets cell {low} "
-                                        f"at {red.cells[low]}, neither a low nor unpaired")
-                entries[(place[low], c)] = f
-            _subtract(vec, f, basis)
+        coords: Column = {}
+        low = ech.reduce(dict(vec), coords)
+        if low is not None:
+            raise InternalError(f"Hodge pieces: cocycle meets cell {low} "
+                                f"at {red.cells[low]}, neither a low nor unpaired")
+        for j, f in coords.items():  # vec - sum f_j z_j is a coboundary
+            entries[(place[j], c)] = -f
     return Matrix(len(place), len(cocycles), entries)
 
 
@@ -264,6 +237,9 @@ def _pieces(col: _Reduction, row: _Reduction) -> tuple[HodgePieces, dict[int, bo
         q, p = row.cells[t]
         return col.start[(p, q)] + t - row.start[(q, p)]
 
+    # R stands for nothing and z_j for [z_j]; their lows are distinct
+    ech = Echelon({**col.echelon.cols, **col.cocycles},
+                  {**dict.fromkeys(col.echelon.cols, {}), **{j: {j: ONE} for j in col.cocycles}})
     # each w_i with its bidegree, in the cells of the column reduction
     conj = [
         (col.cells[untransposed(i)], {untransposed(t): v for t, v in w.items()})
@@ -275,7 +251,7 @@ def _pieces(col: _Reduction, row: _Reduction) -> tuple[HodgePieces, dict[int, bo
         hk = len(basis)
         conj_k = [(pq, w) for pq, w in conj if sum(pq) == k]
         wq = [q for (_, q), _ in conj_k]
-        w = _class_matrix(col, place, [w for _, w in conj_k])
+        w = _class_matrix(col, ech, place, [w for _, w in conj_k])
         rk = rank(w)
         if (w.ncols, rk) != (hk, hk):
             raise InternalError(f"Hodge pieces: {w.ncols} conjugate-filtration cocycles "
@@ -292,7 +268,7 @@ def _pieces(col: _Reduction, row: _Reduction) -> tuple[HodgePieces, dict[int, bo
             forms: list[Column] = [{} for _ in range(closed.ncols)]
             for (r, c), v in closed.entries.items():
                 forms[c][col.start[(p, q)] + r] = v
-            bc = rank(_class_matrix(col, place, forms))
+            bc = rank(_class_matrix(col, ech, place, forms))
             if span.ncols != bc:
                 raise InternalError(f"filtration intersection {span.ncols} != "
                                     f"Bott-Chern image {bc} at ({p},{q})")

@@ -17,16 +17,16 @@ absorption that adds one string into another along their trailing
 overlap.  The absorber choice (shortest sink-terminated hit if one
 exists, else the longest source-terminated hit) is exactly the case
 in which the vertex-wise addition preserves exactness on both ends.
-Each candidate source vector is read by one solve of its delbar image
-against the string ends already in its target: a miss starts a new
-line, closed at once by the candidate; a hit clears the closed ends
-through the source vectors that closed them, and what is left must be
-exactly the open hits.  No complement or inverse of the target space is
-formed per candidate.
+Each target keeps its string ends in a `linalg.Echelon`, ops on their
+indices, and reads a candidate's delbar image with one reduction: a
+remaining low is a miss, a new line closed at once by the candidate;
+else the ops are its coordinates, the closed ends are cleared through
+the source vectors that closed them, and what is left must be exactly
+the open hits.  The rows that are no low complement the target's ends.
 
-Nothing here is trusted: the final change of basis is inverted per
-bidegree and conjugation must reproduce the block model literally,
-and all five cohomology tables of the model must match the input.
+Nothing here is trusted: the change of basis is inverted per bidegree
+and must conjugate the input to the block model, the direct sum of the
+parts' own complexes, literally; the model's five tables must match.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 from .complexes import Bidegree, DoubleComplex, all_tables, direct_sum
 from .errors import InternalError, ValidationError
-from .linalg import Matrix, hstack, inverse, kernel, rcef, rref, solve_right
-from .scalars import MINUS_ONE, ONE, Scalar, sc
+from .linalg import Echelon, Matrix, _subtract, hstack, inverse, kernel, rcef, rref, solve_right
+from .scalars import MINUS_ONE, ONE, sc
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,10 @@ class _RawPart:
 
 def _unit(n: int, i: int) -> Matrix:
     return Matrix(n, 1, {(i, 0): ONE})
+
+
+def _column(v: Matrix) -> dict:
+    return {r: x for (r, _), x in v.entries.items()}
 
 
 def _restricted(tgt_basis: Matrix, m: Matrix, src_basis: Matrix) -> Matrix:
@@ -169,7 +173,8 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix]) -> list[_RawPart]:
     levels = sorted({p + q for (p, q) in support})
     for k in range(levels[0], levels[-1] + 1):
         sources = sorted(pq for pq in support if pq[0] + pq[1] == k)
-        ends: dict[Bidegree, list[_End]] = {}
+        # per target its ends, and their echelon with ops on their indices
+        ends: dict[Bidegree, tuple[list[_End], Echelon]] = {}
         strings: list[_String] = []
         snapshot = {pq: act[pq] for pq in support}
         for (p, q) in sources:
@@ -183,36 +188,31 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix]) -> list[_RawPart]:
             tr_basis = snapshot.get(t_right, Matrix.zero(0, 0))
             lmat = _restricted(tl_basis, dc.delbar_map(p, q), sbasis)
             rmat = _restricted(tr_basis, dc.del_map(p, q), sbasis)
-            left = ends.setdefault(t_left, [])
+            left, left_ech = ends.setdefault(t_left, ([], Echelon()))
             ker = kernel(rmat)
             _, piv = rref(rmat)
             candidates = [("ker", ker.column(j)) for j in range(ker.ncols)]
             candidates += [("piv", _unit(ns, c)) for c in piv]
             for kind, v in candidates:
                 lv = lmat @ v
-                ends_l = hstack([Matrix.zero(lv.nrows, 0)] + [e.vector for e in left])
-                coords = solve_right(ends_l, lv)
-                if coords is None:
+                col, ops = _column(lv), {}
+                if left_ech.reduce(col, ops) is not None:
                     # the image leaves the span of the ends: a new line, closed by v
+                    left_ech.add(col, {**ops, len(left): ONE})  # col is lv + sum ops_i end_i
                     hit_string = _String([(t_left, lv), ((p, q), v)])
                     strings.append(hit_string)
                     left.append(_End(hit_string, 0, closer=v))
                 else:
                     hits = []
-                    for i, end in enumerate(left):
-                        mu = coords.get(i, 0)
-                        if mu and end.closer is not None:
-                            v = v - end.closer.scale(mu)
-                        elif mu:
-                            hits.append((i, mu, end.string))
-                    want = sum(
-                        (left[i].vector.scale(mu) for i, mu, _ in hits),
-                        Matrix.zero(lv.nrows, 1),
-                    )
+                    for i, o in sorted(ops.items()):  # lv = -sum ops_i end_i
+                        if left[i].closer is not None:
+                            v = v + left[i].closer.scale(o)
+                        else:
+                            hits.append((i, -o, left[i].string))
+                    want = sum((left[i].vector.scale(mu) for i, mu, _ in hits),
+                               Matrix.zero(lv.nrows, 1))
                     if lmat @ v != want:
-                        raise InternalError(
-                            f"closed component survives clearing at ({p},{q})"
-                        )
+                        raise InternalError(f"closed component survives clearing at ({p},{q})")
                     if not hits:
                         hit_string = _String([((p, q), v)])
                         strings.append(hit_string)
@@ -239,26 +239,26 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix]) -> list[_RawPart]:
                                         f"{bid_a} vs {bid_b}"
                                     )
                                 a.verts[-i] = (bid_a, va + vb.scale(mu))
+                            for o in left_ech.ops.values():  # end ai is now ai + mu bi
+                                if ai in o:
+                                    _subtract(o, mu, {bi: o[ai]})
                         v = v.scale(ONE / alam)
                         a.verts.append(((p, q), v))
                         left[ai].closer = v
                         hit_string = a
                 if kind == "piv":
                     rv = rmat @ v
-                    if rv.is_zero:
-                        raise InternalError(
-                            f"frontier collapsed at ({p},{q}) level {k}"
-                        )
+                    right, right_ech = ends.setdefault(t_right, ([], Echelon()))
+                    if right_ech.add(_column(rv), {len(right): ONE}) is None:
+                        raise InternalError(f"frontier collapsed at ({p},{q}) level {k}")
                     hit_string.verts.append((t_right, rv))
-                    ends.setdefault(t_right, []).append(
-                        _End(hit_string, len(hit_string.verts) - 1)
-                    )
+                    right.append(_End(hit_string, len(hit_string.verts) - 1))
         for (p, q) in sources:
             act[(p, q)] = Matrix.zero(dc.spaces[(p, q)], 0)
-        for bid, lst in ends.items():
-            if lst:
-                compl = _unit_complement(hstack([e.vector for e in lst]))
-                act[bid] = snapshot[bid] @ compl
+        for bid, (_, ech) in ends.items():  # the rows that are no low complement the ends
+            if ech.cols:
+                act[bid] = snapshot[bid].columns([i for i in range(snapshot[bid].ncols)
+                                                  if i not in ech.cols])
         for st in strings:
             parts.append(
                 _RawPart(
@@ -304,68 +304,32 @@ def decompose(dc: DoubleComplex) -> Decomposition:
     raw.sort(key=lambda part: _sort_key(_shape_of(part)))
 
     cols: dict[Bidegree, list[Matrix]] = {pq: [] for pq in dc.spaces}
-    index: list[dict[Bidegree, int]] = []
     for part in raw:
-        where = {}
         for bid, vec in part.verts:
-            where[bid] = len(cols[bid])
             cols[bid].append(vec)
-        index.append(where)
-
-    model_del: dict[Bidegree, dict[tuple[int, int], Scalar]] = {}
-    model_delbar: dict[Bidegree, dict[tuple[int, int], Scalar]] = {}
-
-    def put(table, src, tgt, coeff, part_idx):
-        where = index[part_idx]
-        table.setdefault(src, {})[(where[tgt], where[src])] = coeff
-
-    for i, part in enumerate(raw):
-        if part.kind == "square":
-            (p, q) = part.verts[0][0]
-            put(model_del, (p, q), (p + 1, q), ONE, i)
-            put(model_del, (p, q + 1), (p + 1, q + 1), ONE, i)
-            put(model_delbar, (p, q), (p, q + 1), ONE, i)
-            put(model_delbar, (p + 1, q), (p + 1, q + 1), MINUS_ONE, i)
-        else:
-            for (abid, _), (bbid, _) in zip(part.verts, part.verts[1:]):
-                src, tgt = (abid, bbid) if sum(abid) < sum(bbid) else (bbid, abid)
-                table = model_del if tgt[0] == src[0] + 1 else model_delbar
-                put(table, src, tgt, ONE, i)
 
     change: dict[Bidegree, Matrix] = {}
     inv: dict[Bidegree, Matrix] = {}
     for pq, vs in cols.items():
-        n = dc.spaces[pq]
-        if len(vs) != n:
-            raise InternalError(f"basis count {len(vs)} != dim {n} at {pq}")
-        b = hstack(vs)
-        try:
-            inv[pq] = inverse(b)
+        try:  # none, too few, too many or dependent vectors all fail here
+            change[pq] = hstack(vs)
+            inv[pq] = inverse(change[pq])
         except ValueError:
-            raise InternalError(f"adapted basis singular at {pq}") from None
-        change[pq] = b
-
-    del_mats: dict[Bidegree, Matrix] = {}
-    delbar_mats: dict[Bidegree, Matrix] = {}
-    for (p, q) in dc.spaces:
-        for tgt, src_map, model, out in (
-            ((p + 1, q), dc.del_map(p, q), model_del, del_mats),
-            ((p, q + 1), dc.delbar_map(p, q), model_delbar, delbar_mats),
-        ):
-            if tgt not in dc.spaces:
-                continue
-            got = inv[tgt] @ src_map @ change[(p, q)]
-            want = Matrix(
-                dc.spaces[tgt], dc.spaces[(p, q)], model.get((p, q), {})
-            )
-            if got != want:
+            raise InternalError(f"the parts give no basis at {pq}") from None
+    # each part adds one vector per bidegree it meets, in the order of cols
+    model, _ = direct_sum([
+        _square_complex(*part.verts[0][0]) if part.kind == "square"
+        else _zigzag_complex([bid for bid, _ in part.verts])
+        for part in raw
+    ])
+    for maps, dc_map, (dp, dq) in ((model.del_maps, dc.del_map, (1, 0)),
+                                   (model.delbar_maps, dc.delbar_map, (0, 1))):
+        for (p, q), want in maps.items():
+            if inv[(p + dp, q + dq)] @ dc_map(p, q) @ change[(p, q)] != want:
                 raise InternalError(
                     f"conjugated differential is not block-diagonal at ({p},{q})"
                 )
-            out[(p, q)] = want
-
-    model_dc = DoubleComplex.build(dict(dc.spaces), del_mats, delbar_mats)
-    if all_tables(model_dc) != all_tables(dc):
+    if all_tables(model) != all_tables(dc):
         raise InternalError("block model changes a cohomology table")
 
     grouped: list[tuple[Shape, int]] = []
@@ -375,7 +339,7 @@ def decompose(dc: DoubleComplex) -> Decomposition:
             grouped[-1] = (shape, grouped[-1][1] + 1)
         else:
             grouped.append((shape, 1))
-    return Decomposition(grouped, change, model_dc)
+    return Decomposition(grouped, change, model)
 
 
 def page1_by_shape(d: Decomposition) -> bool:
@@ -416,25 +380,24 @@ def _zigzag_vertices(rng: random.Random, nverts: int, span: int) -> list[Bidegre
     return [(p + max(dp, 0), q + max(dq, 0)) for p, q in verts]
 
 
-def _part_complex(rng: random.Random, kind, span: int):
+def _square_complex(p: int, q: int) -> DoubleComplex:
     one = Matrix(1, 1, {(0, 0): ONE})
-    if kind == "square":
-        p = rng.randint(0, span)
-        q = rng.randint(0, span)
-        dc = DoubleComplex.build(
-            {(p, q): 1, (p + 1, q): 1, (p, q + 1): 1, (p + 1, q + 1): 1},
-            {(p, q): one, (p, q + 1): one},
-            {(p, q): one, (p + 1, q): Matrix(1, 1, {(0, 0): sc(-1)})},
-        )
-        return dc, Square(p, q)
-    verts = _zigzag_vertices(rng, kind, span)
-    spaces = {v: 1 for v in verts}
+    return DoubleComplex.build(
+        {(p, q): 1, (p + 1, q): 1, (p, q + 1): 1, (p + 1, q + 1): 1},
+        {(p, q): one, (p, q + 1): one},
+        {(p, q): one, (p + 1, q): Matrix(1, 1, {(0, 0): MINUS_ONE})},
+    )
+
+
+def _zigzag_complex(verts: list[Bidegree]) -> DoubleComplex:
+    """One line of 1-dimensional spaces through verts, every map 1."""
+    one = Matrix(1, 1, {(0, 0): ONE})
     dels: dict[Bidegree, Matrix] = {}
     delbars: dict[Bidegree, Matrix] = {}
     for a, b in zip(verts, verts[1:]):
         src, tgt = (a, b) if sum(a) < sum(b) else (b, a)
         (dels if tgt[0] == src[0] + 1 else delbars)[src] = one
-    return DoubleComplex.build(spaces, dels, delbars), _zigzag_shape(verts)
+    return DoubleComplex.build({v: 1 for v in verts}, dels, delbars)
 
 
 def random_zigzag_sum(
@@ -449,10 +412,18 @@ def random_zigzag_sum(
     Returns the sum and the multiset of canonical shapes that went in.
     """
     rng = random.Random(seed)
-    nparts = rng.randint(1, max_parts)
-    built = [_part_complex(rng, rng.choice(shapes), span) for _ in range(nparts)]
-    dc, _ = direct_sum([b[0] for b in built])
-    return dc, [b[1] for b in built]
+    parts, planted = [], []
+    for _ in range(rng.randint(1, max_parts)):
+        kind = rng.choice(shapes)
+        if kind == "square":
+            p, q = rng.randint(0, span), rng.randint(0, span)
+            parts.append(_square_complex(p, q))
+            planted.append(Square(p, q))
+        else:
+            verts = _zigzag_vertices(rng, kind, span)
+            parts.append(_zigzag_complex(verts))
+            planted.append(_zigzag_shape(verts))
+    return direct_sum(parts)[0], planted
 
 
 def random_page1_complex(seed: int, max_parts: int = 6, span: int = 3) -> DoubleComplex:

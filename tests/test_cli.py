@@ -8,6 +8,7 @@ import pytest
 import bicomplex
 from bicomplex import cli, complexes, spectral
 from bicomplex.cli import main
+from bicomplex.files import MAX_TOTAL_DIM
 from conftest import run_cli, run_cli_err
 
 WEDGE_CLASSIFY = """\
@@ -313,3 +314,20 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "classify" in proc.stdout
+
+
+@pytest.mark.parametrize("verb", ["validate", "cohomology", "fss", "classify", "decompose"])
+def test_over_budget_bicomplex_is_a_validation_error(capsys, tmp_path, verb):
+    # two spaces, each under the budget, whose sum is over it: refused while
+    # parsing, before any matrix is built
+    half = MAX_TOTAL_DIM // 2 + 1
+    big = tmp_path / "big.bicomplex"
+    big.write_text(f"space 0 0 {half}\nspace 0 1 {half}\n")
+    code = main([verb, str(big), "--format", "machine"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    if verb == "validate":
+        assert (out, err) == ("valid false\n", "")
+    else:
+        assert out == "" and err.startswith("validation error:")
+        assert err.count("\n") == 1 and f"{2 * half} > {MAX_TOTAL_DIM}" in err

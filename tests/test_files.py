@@ -2,6 +2,7 @@ import pytest
 
 from bicomplex import (
     ParseError,
+    ValidationError,
     all_tables,
     catalog_complex,
     catalog_names,
@@ -16,6 +17,7 @@ from bicomplex import (
     sc,
     write_bicomplex,
 )
+from bicomplex.files import MAX_TOTAL_DIM
 
 NAK_SOLV_TEXT = """
 # Nakamura-type solvable data
@@ -65,6 +67,17 @@ def test_bicomplex_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_bicomplex(text)
     assert fragment in str(exc.value)
+
+
+def test_bicomplex_total_dimension_budget():
+    # zero maps between the two spaces have no entries: nothing large is built
+    half = MAX_TOTAL_DIM // 2
+    dc = parse_bicomplex(f"space 0 0 {half}\nspace 0 1 {half}\n")
+    assert dc.total_dim() == MAX_TOTAL_DIM
+    with pytest.raises(ValidationError, match=f"line 2: total dimension {2 * half + 1} > "):
+        parse_bicomplex(f"space 0 0 {half}\nspace 0 1 {half + 1}\n")
+    with pytest.raises(ValidationError, match="line 1"):
+        parse_bicomplex("space 0 0 99999999999999999999999\n")
 
 
 def test_parse_error_reports_line_number():

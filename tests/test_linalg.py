@@ -20,6 +20,7 @@ from bicomplex import (
     solve_right,
     vstack,
 )
+from bicomplex.linalg import Echelon
 from conftest import random_matrix
 
 
@@ -151,3 +152,41 @@ def test_rref_deterministic():
     assert rref(m) == rref(m)
     r1, _ = rref(m)
     assert rref(r1)[0] == r1
+
+
+def _combination(ops, cols):
+    """sum_s ops[s] * cols[s], as a sparse column."""
+    out = {}
+    for s, f in ops.items():
+        for i, v in cols[s].items():
+            out[i] = out.get(i, ZERO) + f * v
+    return {i: v for i, v in out.items() if v}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5), st.integers(0, 4))
+def test_echelon_reduces_by_distinct_lows(seed, nrows, nfree, ndep):
+    rng = random.Random(seed)
+    a = random_matrix(rng, nrows, nfree, density=0.4)
+    # ndep more columns are combinations of a's, and the order is shuffled
+    m = hstack([a, a @ random_matrix(rng, nfree, ndep)]) if ndep else a
+    order = list(range(m.ncols))
+    rng.shuffle(order)
+    cols = [{r: v for (r, c), v in m.entries.items() if c == j} for j in order]
+
+    ech = Echelon()
+    for t, col in enumerate(cols):
+        residue, ops = dict(col), {t: ONE}  # column t stands for itself
+        low = ech.add(residue, ops)
+        assert (low is None) == (not residue)
+        # the residue is the combination its ops say
+        assert _combination(ops, cols) == residue
+    assert len(ech.cols) == rank(m)
+    for low, col in ech.cols.items():
+        assert max(col) == low and col[low] == ONE
+        assert _combination(ech.ops[low], cols) == col
+    for col in cols:
+        residue, ops = dict(col), {}
+        assert ech.reduce(residue, ops) is None and residue == {}
+        # what was cleared, col itself, is minus the combination of the ops
+        assert _combination(ops, cols) == {i: -v for i, v in col.items()}

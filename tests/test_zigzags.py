@@ -1,3 +1,4 @@
+import hashlib
 import time
 from collections import Counter
 
@@ -17,7 +18,9 @@ from bicomplex import (
     random_zigzag_sum,
     report_lines,
     shuffle_basis,
+    write_bicomplex,
 )
+from bicomplex import zigzags
 from conftest import ONE_1x1, staircase
 from bicomplex import DoubleComplex
 
@@ -171,3 +174,43 @@ def test_recovery_timing_budget():
             got[shape] += mult
         assert got == Counter(expected)
     assert time.time() - t0 < 10.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 116])
+def test_phase_b_solves_only_through_restricted(monkeypatch, seed):
+    # phase B reads its candidates off each target's echelon of ends: the
+    # only solves left are those of _restricted, at most one per call
+    dc, _ = random_zigzag_sum(seed)
+    shuffled = shuffle_basis(dc, seed + 10**6)
+    calls = Counter()
+
+    def counting(name, f):
+        def wrapped(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapped
+
+    for name in ("solve_right", "_restricted"):
+        monkeypatch.setattr(zigzags, name, counting(name, getattr(zigzags, name)))
+    decompose(shuffled)
+    assert 0 < calls["solve_right"] <= calls["_restricted"]
+
+
+# sha256 of write_bicomplex(random_zigzag_sum(*args)[0]): the benchmark's
+# inputs come from this generator, so splitting its part builders must not
+# move them; the last is the benchmark's fixed 76-dim sweep input
+GENERATOR_PINS = {
+    (0,): "ae06adf17da6e5a9ff33a84f7c43fc8d8ff68644023c8d29b5055f3df546cbe6",
+    (1,): "bfaa3c4b3f0b08a931fa3a5fef08790a13388d58d7858e867bcc01c940eb8943",
+    (37,): "b27b66903deef52316eaa94d682f9237762c54f083d25af438aa7aa223d45eed",
+    (116,): "8089c2b6b585d55835252a93990469ba8b90de70bc93c0d843696f2fa41d355c",
+    (0, (1, 2, "square")): "1767e331f489e760680ce5734588f2d7b3d276e13c2f6de7fb8129f3e7032cf7",
+    (19, (1, 2, 3, 4, 5, "square"), 24):
+        "44e1df3d066d3b8011c71c27779f3664ed8a358762030b7ebfef2cb062f2aa6e",
+}
+
+
+@pytest.mark.parametrize("args", list(GENERATOR_PINS))
+def test_random_zigzag_sum_is_pinned(args):
+    text = write_bicomplex(random_zigzag_sum(*args)[0])
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_PINS[args]
