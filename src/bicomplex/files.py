@@ -12,18 +12,21 @@ bicomplex   space <p> <q> <dim>
 
 lie algebra dim <n>
             bracket <i> <j> <k> <scalar>        # [X_i,X_j] has c X_k, i<j, 1-based
+            2^n past MAX_TOTAL_DIM is a ValidationError.
 
 subalgebra  gen <scalar> ... <scalar>           # one generator per line
 
 solvable    lie-algebra lines, plus
             weight <i> <j> <scalar>             # a_i(X_j), 1-based
             gamma_trivial all | identically | { <i> ... }
+            4^n past MAX_TOTAL_DIM is a ValidationError.
 
 splitting   abelian <n>
             nilp_dim <m>
             nilp_bracket <i> <j> <k> <scalar>
             phi <j> <hol x n> <antihol x n>
             gamma_trivial all | identically | { <j> ... } ; { <l> ... }
+            4^(n + m) past MAX_TOTAL_DIM is a ValidationError.
 
 The bicomplex writer is canonical: lines are emitted sorted
 lexicographically, so write(parse(write(x))) == write(x) byte for byte.
@@ -71,7 +74,13 @@ def _arity(tokens: list[str], n: int, lineno: int) -> None:
 
 # -- bicomplex files -----------------------------------------------------------
 
-MAX_TOTAL_DIM = 4096  # the most a bicomplex file's space dims may sum to
+MAX_TOTAL_DIM = 4096  # the most dims a file may give: bicomplex spaces, Lie-type cochains
+
+
+def _within_budget(log2_dim: int, what: str) -> None:
+    """Refuse a complex of 2**log2_dim dims over MAX_TOTAL_DIM, unbuilt."""
+    if log2_dim >= MAX_TOTAL_DIM.bit_length():
+        raise ValidationError(f"{what} > {MAX_TOTAL_DIM}")
 
 
 def parse_bicomplex(text: str) -> DoubleComplex:
@@ -183,6 +192,7 @@ def parse_lie(text: str) -> LieAlgebra:
     if rest:
         lineno, toks = rest[0]
         raise ParseError(f"line {lineno}: unknown record {toks[0]!r}")
+    _within_budget(g.dim, f"dim {g.dim}: 2^{g.dim} cochains")
     return g
 
 
@@ -222,6 +232,7 @@ def _parse_subset(toks: list[str], lineno: int, start: int) -> tuple[frozenset, 
 def parse_solv(text: str) -> SolvData:
     g, rest = _parse_lie_records(list(_records(text)))
     n = g.dim
+    _within_budget(2 * n, f"dim {n}: 4^{n} cochains")
     weights = [[ZERO] * n for _ in range(n)]
     all_flags = False
     subsets: set[frozenset[int]] = set()
@@ -274,6 +285,7 @@ def parse_splitting(text: str) -> SplittingData:
         raise ParseError("missing or negative abelian count")
     if m is None or m < 0:
         raise ParseError("missing or negative nilp_dim")
+    _within_budget(2 * (n + m), f"abelian + nilp_dim = {n + m}: 4^{n + m} cochains")
     for lineno, toks in deferred:
         if toks[0] == "nilp_bracket":
             _arity(toks, 5, lineno)

@@ -304,12 +304,8 @@ def solve_right(a: Matrix, b: Matrix) -> Matrix | None:
     for p in pivots:
         if p >= a.ncols:
             return None
-    entries: dict[Entry, Scalar] = {}
-    for i, p in enumerate(pivots):
-        for j in range(b.ncols):
-            v = r.get(i, a.ncols + j)
-            if v:
-                entries[(p, j)] = v
+    # a consistent RREF is zero below its last pivot row
+    entries = {(pivots[i], c - a.ncols): v for (i, c), v in r.entries.items() if c >= a.ncols}
     return Matrix(a.ncols, b.ncols, entries)
 
 

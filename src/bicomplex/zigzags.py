@@ -1,5 +1,12 @@
 """Decomposition into squares and zigzags with a certified change of basis.
 
+The active subcomplex is kept in its own coordinates.  Each shrink of
+an active space multiplies its basis by a K that is 1 at each column's
+low and 0 at the other columns' lows (a canonical kernel basis, or unit
+columns), so the maps into it keep the rows at K's lows, checked to
+lose nothing, and the maps out of it compose with K: decompose solves
+nothing outside the certification.
+
 Phase A peels squares: at each anchor (p,q) in increasing (p+q, p),
 generators are chosen behind a complement of ker(del delbar); the four
 square vectors split off, and the remaining active subspaces need no
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 
 from .complexes import Bidegree, DoubleComplex, all_tables, direct_sum
 from .errors import InternalError, ValidationError
-from .linalg import Echelon, Matrix, _subtract, hstack, inverse, kernel, rcef, rref, solve_right
+from .linalg import Echelon, Matrix, _subtract, hstack, inverse, kernel, rcef, rref
 from .scalars import MINUS_ONE, ONE, sc
 
 
@@ -68,49 +75,50 @@ class _RawPart:
     verts: list[tuple[Bidegree, Matrix]]  # original-coordinate column vectors
 
 
-def _unit(n: int, i: int) -> Matrix:
-    return Matrix(n, 1, {(i, 0): ONE})
+def _units(n: int, rows: list[int]) -> Matrix:
+    """The unit vectors at rows, as columns."""
+    return Matrix(n, len(rows), {(i, j): ONE for j, i in enumerate(rows)})
 
 
 def _column(v: Matrix) -> dict:
     return {r: x for (r, _), x in v.entries.items()}
 
 
-def _restricted(tgt_basis: Matrix, m: Matrix, src_basis: Matrix) -> Matrix:
-    img = m @ src_basis
-    if img.is_zero:
-        return Matrix.zero(tgt_basis.ncols, src_basis.ncols)
-    if tgt_basis.ncols == 0:
-        raise InternalError("differential leaks outside the active subspace")
-    coeffs = solve_right(tgt_basis, img)
-    if coeffs is None:
-        raise InternalError("differential leaks outside the active subspace")
-    return coeffs
-
-
 def _unit_complement(cols: Matrix) -> Matrix:
     """Unit vectors spanning a complement of the column span."""
-    _, pivot_rows = rcef(cols)
-    taken = set(pivot_rows)
-    free = [i for i in range(cols.nrows) if i not in taken]
-    return Matrix(cols.nrows, len(free), {(i, j): ONE for j, i in enumerate(free)})
+    taken = set(rcef(cols)[1])
+    return _units(cols.nrows, [i for i in range(cols.nrows) if i not in taken])
 
 
-def _phase_a(dc: DoubleComplex, act: dict[Bidegree, Matrix]) -> list[_RawPart]:
+def _shrink(act: dict[Bidegree, Matrix], cur: DoubleComplex, pq: Bidegree, k: Matrix) -> None:
+    """Shrink the active space at pq to the span of act[pq] @ k."""
+    (p, q), lows = pq, [0] * k.ncols
+    for r, c in k.entries:
+        lows[c] = max(lows[c], r)
+    act[pq] = act[pq] @ k
+    cur.spaces[pq] = k.ncols
+    for maps, src in ((cur.del_maps, (p - 1, q)), (cur.delbar_maps, (p, q - 1))):
+        if src in maps:
+            old = maps[src]
+            maps[src] = old.rows(lows)
+            if k @ maps[src] != old:
+                raise InternalError("differential leaks outside the active subspace")
+        if pq in maps:
+            maps[pq] = maps[pq] @ k
+
+
+def _phase_a(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex) -> list[_RawPart]:
     parts: list[_RawPart] = []
     for (p, q) in sorted(dc.bidegrees(), key=lambda pq: (pq[0] + pq[1], pq[0])):
         corners = [(p, q), (p + 1, q), (p, q + 1), (p + 1, q + 1)]
         if any(c not in dc.spaces for c in corners):
             continue
-        r00, r10, r01, r11 = (act[c] for c in corners)
-        a2 = _restricted(r01, dc.delbar_map(p, q), r00)
-        b1 = _restricted(r11, dc.delbar_map(p + 1, q), r10)
-        b2 = _restricted(r11, dc.del_map(p, q + 1), r01)
+        a2, b1, b2 = cur.delbar_map(p, q), cur.delbar_map(p + 1, q), cur.del_map(p, q + 1)
         lam = b2 @ a2
         if lam.is_zero:
             continue
         _, piv = rref(lam)
-        wmat = Matrix(lam.ncols, len(piv), {(c, j): ONE for j, c in enumerate(piv)})
+        wmat = _units(lam.ncols, piv)
         cmat = lam @ wmat
         c3 = _unit_complement(cmat)
         minv = inverse(hstack([cmat, c3]))
@@ -118,7 +126,7 @@ def _phase_a(dc: DoubleComplex, act: dict[Bidegree, Matrix]) -> list[_RawPart]:
         k = kernel(lam)
         c1 = kernel(pi_c @ b1)
         c2 = kernel(pi_c @ b2)
-        w_orig = r00 @ wmat
+        w_orig = act[(p, q)] @ wmat
         a_orig = dc.del_map(p, q) @ w_orig
         b_orig = dc.delbar_map(p, q) @ w_orig
         c_orig = dc.del_map(p, q + 1) @ b_orig
@@ -134,10 +142,8 @@ def _phase_a(dc: DoubleComplex, act: dict[Bidegree, Matrix]) -> list[_RawPart]:
                     ],
                 )
             )
-        act[(p, q)] = r00 @ k
-        act[(p + 1, q)] = r10 @ c1
-        act[(p, q + 1)] = r01 @ c2
-        act[(p + 1, q + 1)] = r11 @ c3
+        for c, basis in zip(corners, (k, c1, c2, c3)):
+            _shrink(act, cur, c, basis)
     return parts
 
 
@@ -165,7 +171,7 @@ class _End:
         return self.string.verts[self.vid][1]
 
 
-def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix]) -> list[_RawPart]:
+def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex) -> list[_RawPart]:
     parts: list[_RawPart] = []
     support = dc.bidegrees()
     if not support:
@@ -178,21 +184,17 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix]) -> list[_RawPart]:
         strings: list[_String] = []
         snapshot = {pq: act[pq] for pq in support}
         for (p, q) in sources:
-            sbasis = snapshot[(p, q)]
-            ns = sbasis.ncols
+            ns = cur.dim(p, q)
             if ns == 0:
                 continue
             t_left = (p, q + 1)
             t_right = (p + 1, q)
-            tl_basis = snapshot.get(t_left, Matrix.zero(0, 0))
-            tr_basis = snapshot.get(t_right, Matrix.zero(0, 0))
-            lmat = _restricted(tl_basis, dc.delbar_map(p, q), sbasis)
-            rmat = _restricted(tr_basis, dc.del_map(p, q), sbasis)
+            lmat, rmat = cur.delbar_map(p, q), cur.del_map(p, q)
             left, left_ech = ends.setdefault(t_left, ([], Echelon()))
             ker = kernel(rmat)
             _, piv = rref(rmat)
             candidates = [("ker", ker.column(j)) for j in range(ker.ncols)]
-            candidates += [("piv", _unit(ns, c)) for c in piv]
+            candidates += [("piv", _units(ns, [c])) for c in piv]
             for kind, v in candidates:
                 lv = lmat @ v
                 col, ops = _column(lv), {}
@@ -253,12 +255,12 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix]) -> list[_RawPart]:
                         raise InternalError(f"frontier collapsed at ({p},{q}) level {k}")
                     hit_string.verts.append((t_right, rv))
                     right.append(_End(hit_string, len(hit_string.verts) - 1))
-        for (p, q) in sources:
-            act[(p, q)] = Matrix.zero(dc.spaces[(p, q)], 0)
+        for pq in sources:  # spent first: nothing then maps into the targets
+            _shrink(act, cur, pq, Matrix.zero(cur.dim(*pq), 0))
         for bid, (_, ech) in ends.items():  # the rows that are no low complement the ends
             if ech.cols:
-                act[bid] = snapshot[bid].columns([i for i in range(snapshot[bid].ncols)
-                                                  if i not in ech.cols])
+                n = cur.dim(*bid)
+                _shrink(act, cur, bid, _units(n, [i for i in range(n) if i not in ech.cols]))
         for st in strings:
             parts.append(
                 _RawPart(
@@ -300,7 +302,9 @@ def decompose(dc: DoubleComplex) -> Decomposition:
     if problems:
         raise ValidationError("decompose on invalid complex: " + "; ".join(problems))
     act = {pq: Matrix.identity(dc.spaces[pq]) for pq in dc.spaces}
-    raw = _phase_a(dc, act) + _phase_b(dc, act)
+    # the active subcomplex in its own coordinates; spent spaces stay at dim 0
+    cur = DoubleComplex(dict(dc.spaces), dict(dc.del_maps), dict(dc.delbar_maps))
+    raw = _phase_a(dc, act, cur) + _phase_b(dc, act, cur)
     raw.sort(key=lambda part: _sort_key(_shape_of(part)))
 
     cols: dict[Bidegree, list[Matrix]] = {pq: [] for pq in dc.spaces}

@@ -1,12 +1,14 @@
+import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import bicomplex
-from bicomplex import cli, complexes, spectral
+from bicomplex import catalog_names, cli, complexes, spectral
 from bicomplex.cli import main
 from bicomplex.files import MAX_TOTAL_DIM
 from conftest import run_cli, run_cli_err
@@ -331,3 +333,97 @@ def test_over_budget_bicomplex_is_a_validation_error(capsys, tmp_path, verb):
     else:
         assert out == "" and err.startswith("validation error:")
         assert err.count("\n") == 1 and f"{2 * half} > {MAX_TOTAL_DIM}" in err
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["lie"], "dim 13\n"),
+    (["ssmodel", "--betti", "1,0", "--algebra"], "dim 13\n"),
+    (["solv"], "dim 7\n"),
+    (["splitting"], "abelian 3\nnilp_dim 4\n"),
+])
+def test_over_budget_lie_types_are_validation_errors(capsys, tmp_path, argv, text):
+    # one past the budget, refused while parsing: nothing is built (the
+    # sizes stay small enough that a missing check costs time, not memory)
+    f = tmp_path / "big.txt"
+    f.write_text(text)
+    tracemalloc.start()
+    try:
+        code = main([*argv, str(f), "--format", "machine"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("validation error:") and err.count("\n") == 1
+    assert f"cochains > {MAX_TOTAL_DIM}" in err
+    assert peak < 2**20
+
+
+# (exit code, sha256 of stdout) of every `--format machine` report below:
+# machine output must stay byte-identical while the engines change
+MACHINE_PINS = {
+    "classify catalog:dot": (0, "8e9f001685767240627614846c3ef3b4c88e8e593db7b45004e71034dc59f128"),
+    "decompose catalog:dot": (0, "6d4c9ec422d75e6a5b7ad445e0020c5710cecd6fe211cc68bf3eefd862dd0f40"),
+    "cohomology catalog:dot": (0, "f44b98144b227fbc7b14a82614a56def75340f6024b20e801bde8c54b911f2d5"),
+    "fss --filtration both catalog:dot": (0, "34cff8e3390ac05af20e93c14bc795c95bc55cf43acf852b0469efb0c212a1b8"),
+    "classify catalog:hline": (0, "771be335319029c965f1b6663c4081fb9e86643a6f70692a6adbc8d37ae4abee"),
+    "decompose catalog:hline": (0, "62418557d4ab939cb58bc45fd12b0b90e1511f647f685ad3bd0fabc02caa7930"),
+    "cohomology catalog:hline": (0, "d106d4eb8cb0c431e0c33ab8a2306e85511e43aa65b51d60b6b6d7570c567462"),
+    "fss --filtration both catalog:hline": (0, "18f1a6e9e684f889323f4383597edbde61ccc060cc89978e5378488dea2d888f"),
+    "classify catalog:vline": (0, "458c340acca6b5cae7ae817619d1418884264c2613aed5dabd72d13e30134242"),
+    "decompose catalog:vline": (0, "6d0a444a45009ef257250948155d9d306355427eac9cfd9ee7f6fd7ba3c648f0"),
+    "cohomology catalog:vline": (0, "6137be432b264ae1ac658ae0c918125edda42bf9c0d2630df6f6e609bb4ea360"),
+    "fss --filtration both catalog:vline": (0, "480645ccf92a9347c0ad121b2a79afdbbf71b977d9e16691274f985db9a61fe5"),
+    "classify catalog:square": (0, "d3c0335e730bf9c9d28f673b81e8f767a7bbf3bb85248306c5fa12e070b68ce3"),
+    "decompose catalog:square": (0, "1e18a8567fa0c2ee58e71e265efc630e300e90cf2304e9580165f574b9ad1588"),
+    "cohomology catalog:square": (0, "fd18c756d574536e166f112af06aa3eb3dfa436481de110a93ef900d0ee26c1d"),
+    "fss --filtration both catalog:square": (0, "ee84ad4cf335ed208b2036eb42639aecead03f862df7a08d1cabe37454fe800b"),
+    "classify catalog:wedge": (0, "3357cf0c85a48bc753ad02efa9629ca69ae9c60a19a02854010c8ad8c96a15ad"),
+    "decompose catalog:wedge": (0, "927d7e7ef764dba846dfc9d3750b5940bafcff0b400fc4aa5348d00f8198c0a1"),
+    "cohomology catalog:wedge": (0, "531be3d9f4da90294ca84a698d8eefd92da2337252958b4c038ef4fa3c2a661c"),
+    "fss --filtration both catalog:wedge": (0, "3e4ed0ddfc56e6439539ffec8a7cde1b64d4ee89c5389764d32142b84aaebfd6"),
+    "classify catalog:vee": (0, "c5bc4278930d32384cf9b8e1af937649d9b3db0c29c163d139d432add86b3b1d"),
+    "decompose catalog:vee": (0, "69368d1d10893cecf96387c9f4d1bb3baad19e683580d1659768048641d9165f"),
+    "cohomology catalog:vee": (0, "d3de9e1c60c7e5364dfe21928705c97e2c6e89f0cf93effe1d464754539faf1c"),
+    "fss --filtration both catalog:vee": (0, "544af1d1fb63f03f0f863ec932b11005fd4d33eb857944fd73cf4f5008c62e3d"),
+    "classify catalog:abelian:1-invariant": (0, "9384282f4d178b4ccf641f707104b31d784234e8c5235cb9fcc986a3bba31650"),
+    "decompose catalog:abelian:1-invariant": (0, "49018efe1aca3de7381fcbe7dccd745fcaccaf3e174976457439efe8e6ecf965"),
+    "cohomology catalog:abelian:1-invariant": (0, "09ea4862b5b42342f58bddf61d79846b797fcbefd7bdc5090984e3206756fe34"),
+    "fss --filtration both catalog:abelian:1-invariant": (0, "041cce601a0fbd472aca474c171ef6ee21488718f5269f098b6fc0f4518c777a"),
+    "classify catalog:abelian:2-invariant": (0, "86d714b4d83ba8cd7dc1994f777f13e110b5cf71713e0b5215ca88e5cb4d5e10"),
+    "decompose catalog:abelian:2-invariant": (0, "a9ff2e2e6ff907e1038ec944ab04a4895e77230c7c574d35c00bb18d34125e4a"),
+    "cohomology catalog:abelian:2-invariant": (0, "80ce2fb97dc0f7606d689528bca39b751b7ddb3ed90dcaea630b0e25aaf83123"),
+    "fss --filtration both catalog:abelian:2-invariant": (0, "279d6b73671b64c5efa75023ac54f6477769d0874df2e019f76176451a3228b6"),
+    "classify catalog:abelian:3-invariant": (0, "712b75425cf70614667a4e1fb553675227c831a8c0b0ce2201be25331be34483"),
+    "decompose catalog:abelian:3-invariant": (0, "1d70fdd5be9b5623b2c93dc4463c0bc2b1684b1c40f3f3107a09e8ef588762b0"),
+    "cohomology catalog:abelian:3-invariant": (0, "33f1b11a7f0bd84a918376e76aaceaa177c3cb5326ea0fe023bb53d4bbdb65fe"),
+    "fss --filtration both catalog:abelian:3-invariant": (0, "75ff0251724ba7275219eb1cee417f3e085cbb40399e2b19e9543f61c441642f"),
+    "classify catalog:heisenberg3-invariant": (0, "0e8e36ffd8fb2415f87c5513dd1198c3a589f0ea27d54b8d807ec04a3ca0f87e"),
+    "decompose catalog:heisenberg3-invariant": (0, "96fcbdb3384909bbd1d9546c5522477c66456de2493b7e8c1b4e0441e7f533d7"),
+    "cohomology catalog:heisenberg3-invariant": (0, "6dcaad3590484984f1e9a437b30721b87e6a9042a63fc15f3fc9c01953f3d04e"),
+    "fss --filtration both catalog:heisenberg3-invariant": (0, "3adb96eef2eaac218924dce6bcb2763b63f01551bbdc2042081b2c0656134259"),
+    "classify catalog:sl2-invariant": (0, "6711158a3b815bafa3fcd09824dc4448b5c81409c7ef0792d9aa977e7be22003"),
+    "decompose catalog:sl2-invariant": (0, "303f5e4e8cdca123594ea2ea05c1f24aaa96154ab2c53ba05fff6ac534defc79"),
+    "cohomology catalog:sl2-invariant": (0, "b05b014335d2e2a14049e45a6389eaf3e7cbc48474d9780cba64f7d7aaa0051d"),
+    "fss --filtration both catalog:sl2-invariant": (0, "2be3ec0b4e4f880fdbb71831e11565219c68683dec51ced13d9799695ea3bea7"),
+    "solv nakamura:identically": (0, "9be2d93bb34ceeda9d392cc7c0a9b8ed3a8c1ffafae8a221e9c6984d5bd059cc"),
+    "solv nakamura:real": (0, "1da472c9f98f8e13f470e203f52c2bfb23f67cac62783ac0864f873318e3f46c"),
+    "splitting nakamura:identically": (0, "9be2d93bb34ceeda9d392cc7c0a9b8ed3a8c1ffafae8a221e9c6984d5bd059cc"),
+    "splitting nakamura:real": (0, "1da472c9f98f8e13f470e203f52c2bfb23f67cac62783ac0864f873318e3f46c"),
+}
+
+
+def _pinned_runs() -> list[list[str]]:
+    runs = [[*verb, f"catalog:{name}"] for name in catalog_names()
+            for verb in (["classify"], ["decompose"], ["cohomology"],
+                         ["fss", "--filtration", "both"])]
+    return runs + [[verb, f"nakamura:{case}"] for verb in ("solv", "splitting")
+                   for case in ("identically", "real")]
+
+
+def test_machine_reports_are_pinned(capsys):
+    got = {}
+    for argv in _pinned_runs():
+        code, out = run_cli(capsys, [*argv, "--format", "machine"])
+        got[" ".join(argv)] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == MACHINE_PINS

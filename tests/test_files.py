@@ -80,6 +80,27 @@ def test_bicomplex_total_dimension_budget():
         parse_bicomplex("space 0 0 99999999999999999999999\n")
 
 
+HUGE = "9" * 23
+
+
+def test_lie_type_budget():
+    # Lambda g* has 2^n dims and the solvable and splitting bicomplexes 4^n:
+    # n = 12 and n = 6 fill MAX_TOTAL_DIM = 4096 exactly
+    assert 2**12 == 4**6 == MAX_TOTAL_DIM
+    assert parse_lie("dim 12\n").dim == 12
+    assert parse_solv("dim 6\n").algebra.dim == 6
+    assert parse_splitting("abelian 2\nnilp_dim 4\n").nilp.dim == 4
+    for n in ("13", HUGE):
+        with pytest.raises(ValidationError, match=f"dim {n}: 2\\^{n} cochains > {MAX_TOTAL_DIM}"):
+            parse_lie(f"dim {n}\n")
+    for n in ("7", HUGE):
+        with pytest.raises(ValidationError, match=f"dim {n}: 4\\^{n} cochains > {MAX_TOTAL_DIM}"):
+            parse_solv(f"dim {n}\nweight 1 1 1\n")
+    for text in ("abelian 3\nnilp_dim 4\n", f"abelian 1\nnilp_dim {HUGE}\n"):
+        with pytest.raises(ValidationError, match="4\\^"):
+            parse_splitting(text + "phi 1 1 0\n")  # refused before phi's arity
+
+
 def test_parse_error_reports_line_number():
     with pytest.raises(ParseError) as exc:
         parse_bicomplex("space 0 0 1\nspace 0 1 1\nspace 0 0 9\n")

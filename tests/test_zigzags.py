@@ -1,10 +1,12 @@
 import hashlib
+import sys
 import time
 from collections import Counter
 
 import pytest
 
 from bicomplex import (
+    InternalError,
     Square,
     ValidationError,
     Zigzag,
@@ -12,6 +14,7 @@ from bicomplex import (
     catalog_complex,
     classify,
     decompose,
+    direct_sum,
     inverse,
     page1_by_shape,
     random_page1_complex,
@@ -20,7 +23,7 @@ from bicomplex import (
     shuffle_basis,
     write_bicomplex,
 )
-from bicomplex import zigzags
+from bicomplex import linalg, zigzags
 from conftest import ONE_1x1, staircase
 from bicomplex import DoubleComplex
 
@@ -177,9 +180,10 @@ def test_recovery_timing_budget():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 116])
-def test_phase_b_solves_only_through_restricted(monkeypatch, seed):
-    # phase B reads its candidates off each target's echelon of ends: the
-    # only solves left are those of _restricted, at most one per call
+def test_decompose_solves_only_to_invert(monkeypatch, seed):
+    # the active subcomplex keeps its own coordinates and phase B reads its
+    # candidates off echelons: the only solves are the certification's
+    # inverses, one each, wherever the package binds solve_right
     dc, _ = random_zigzag_sum(seed)
     shuffled = shuffle_basis(dc, seed + 10**6)
     calls = Counter()
@@ -190,10 +194,36 @@ def test_phase_b_solves_only_through_restricted(monkeypatch, seed):
             return f(*args)
         return wrapped
 
-    for name in ("solve_right", "_restricted"):
-        monkeypatch.setattr(zigzags, name, counting(name, getattr(zigzags, name)))
+    solve = linalg.solve_right
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("bicomplex") and \
+                getattr(mod, "solve_right", None) is solve:
+            monkeypatch.setattr(mod, "solve_right", counting("solve", solve))
+    monkeypatch.setattr(zigzags, "inverse", counting("inverse", zigzags.inverse))
     decompose(shuffled)
-    assert 0 < calls["solve_right"] <= calls["_restricted"]
+    assert calls["solve"] == calls["inverse"] > 0
+
+
+def test_shrink_refuses_a_leaking_basis(monkeypatch):
+    # a square at (0,0) and a delbar line (1,0) -> (1,1): when phase A
+    # shrinks (1,1), the line's image enters it from the active (1,0)
+    dc, _ = direct_sum([zigzags._square_complex(0, 0), zigzags._zigzag_complex([(1, 0), (1, 1)])])
+    shuffled = shuffle_basis(dc, 7)
+    assert len(decompose(shuffled).parts) == 2
+    shrink = zigzags._shrink
+
+    def corrupted(act, cur, pq, k):
+        # where a map comes in, swap k for the unit columns at the rows
+        # that are no low of k: they span a complement of k's span
+        p, q = pq
+        if not (cur.del_map(p - 1, q).is_zero and cur.delbar_map(p, q - 1).is_zero):
+            lows = {max(r for r, c in k.entries if c == j) for j in range(k.ncols)}
+            k = zigzags._units(k.nrows, [i for i in range(k.nrows) if i not in lows])
+        shrink(act, cur, pq, k)
+
+    monkeypatch.setattr(zigzags, "_shrink", corrupted)
+    with pytest.raises(InternalError, match="leaks outside the active subspace"):
+        decompose(shuffled)
 
 
 # sha256 of write_bicomplex(random_zigzag_sum(*args)[0]): the benchmark's
