@@ -10,8 +10,8 @@ independent routes that are required to agree.
 
 from .scalars import I, MINUS_ONE, ONE, Scalar, ZERO, format_scalar, parse_scalar, sc
 from .errors import InternalError, ParseError, ValidationError
-from .linalg import Matrix, block_diag, hstack, inverse, kernel, kron, rank, rcef, rref, solve_right, vstack
-from .subspaces import Subspace, complement, image, preimage
+from .linalg import Matrix, hstack, inverse, kernel, kron, rank, rcef, rref, solve_right, vstack
+from .subspaces import Subspace, image, preimage
 from .complexes import (
     Bidegree,
     DoubleComplex,

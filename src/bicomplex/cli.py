@@ -11,6 +11,12 @@ unknown names), 2 validation failure, 3 internal consistency failure
 (route disagreement, a broken engine postcondition or any other
 exception, such as MemoryError: one `internal error: ...` line).
 
+A classify, solv or splitting report analyses its complex once
+(`_analyse`): the five tables are computed once and feed both the
+spectral engine and the certified decomposition, and the shape route
+must agree with the definition.  `selftest` runs the same analysis on
+every case and dumps the complex of any failure, InternalError included.
+
 Output is deterministic.  `--format machine` emits only the grammar
 lines documented in reports.py; `--format text` adds '#' comments, so
 the machine report is exactly the text report with comments stripped.
@@ -26,7 +32,7 @@ from collections import Counter
 from pathlib import Path
 
 from .catalog import catalog_complex, catalog_names
-from .complexes import DoubleComplex, all_tables, de_rham_table
+from .complexes import DoubleComplex, all_tables, de_rham_table, direct_sum
 from .errors import InternalError, ParseError, ValidationError
 from .files import (
     parse_bicomplex,
@@ -53,14 +59,14 @@ from .reports import (
     verdict_lines,
 )
 from .solvable import build_C, nakamura_preset, random_solvable, validate_solv
-from .spectral import _checked_pages, _reduce, classify, degeneration_page
+from .spectral import _checked_pages, _classify, _reduce, degeneration_page
 from .splitting import (
     build_splitting,
     nakamura_splitting_preset,
     validate_splitting,
 )
 from .zigzags import (
-    decompose,
+    _decompose,
     page1_by_shape,
     random_zigzag_sum,
     report_lines,
@@ -138,8 +144,7 @@ def _load_lie(spec: str):
 # -- shared report assembly ------------------------------------------------------
 
 
-def _h_section(dc: DoubleComplex) -> list[str]:
-    tables = all_tables(dc)
+def _h_section(dc: DoubleComplex, tables: dict) -> list[str]:
     lines = space_comment(dc)
     for name in ("dolbeault", "del", "bott_chern", "aeppli"):
         lines += grid_comment(name, tables[name])
@@ -149,16 +154,25 @@ def _h_section(dc: DoubleComplex) -> list[str]:
     return lines
 
 
-def _classify_report(dc, rs, payload, max_page):
-    verdict, col_pages, row_pages = classify(dc, rs)
-    decomp = decompose(dc)
+def _analyse(dc: DoubleComplex, rs=None):
+    """The tables, the verdict with both page lists and the decomposition
+    of dc, validated first: the tables are computed once and feed both
+    engines, and the shape route must agree with the definition."""
+    tables = all_tables(_checked(dc))
+    verdict, col_pages, row_pages = _classify(dc, rs, tables)
+    decomp = _decompose(dc, tables)
     verdict.page1_by_shape = page1_by_shape(decomp)
     if verdict.page1_by_shape != verdict.page1_by_definition:
         raise InternalError(
             "decomposition shape route disagrees with the degeneration route"
         )
+    return tables, verdict, col_pages, row_pages, decomp
+
+
+def _classify_report(dc, rs, payload, max_page):
+    tables, verdict, col_pages, row_pages, _ = _analyse(dc, rs)
     lines = provenance_lines(payload)
-    lines += _h_section(dc)
+    lines += _h_section(dc, tables)
     lines += ["# column filtration pages"]
     lines += page_lines(col_pages, "col", max_page)
     lines += ["# row filtration pages"]
@@ -187,8 +201,8 @@ def _cmd_validate(args):
 
 def _cmd_cohomology(args):
     dc, _, payload = _load_bicomplex(args.input)
-    _checked(dc)
-    return 0, provenance_lines(payload) + _h_section(dc)
+    tables = all_tables(_checked(dc))
+    return 0, provenance_lines(payload) + _h_section(dc, tables)
 
 
 def _cmd_fss(args):
@@ -207,14 +221,12 @@ def _cmd_fss(args):
 
 def _cmd_classify(args):
     dc, rs, payload = _load_bicomplex(args.input)
-    _checked(dc)
     return 0, _classify_report(dc, rs, payload, args.max_page)
 
 
 def _cmd_decompose(args):
     dc, _, payload = _load_bicomplex(args.input)
-    _checked(dc)
-    decomp = decompose(dc)
+    decomp = _decompose(dc, all_tables(_checked(dc)))
     return 0, provenance_lines(payload) + report_lines(decomp)
 
 
@@ -289,61 +301,43 @@ def _dump_counterexample(dc: DoubleComplex, seed: int) -> str:
     return str(path)
 
 
+def _selftest_cases(base: int, n: int):
+    """(name, dump seed, complex, real structure, planted shapes, page-1),
+    None where a case expects nothing."""
+    for seed in range(base, base + n):
+        dc, planted = random_zigzag_sum(seed)
+        yield f"seed {seed}", seed, shuffle_basis(dc, seed + 10**6), None, Counter(planted), None
+    # negative control: one injected wedge must flip the verdict
+    dc, _ = random_zigzag_sum(base, (1, 2, "square"))
+    wedged, _ = direct_sum([dc, catalog_complex("wedge")[0]])
+    yield "negative control", base, wedged, None, None, False
+    for seed in range(base, base + min(5, n)):  # solvable spot checks
+        dc, rs = build_C(random_solvable(seed))
+        yield f"solvable seed {seed}", seed, dc, rs, None, True
+
+
 def _cmd_selftest(args):
     n = args.seeds
     base = args.seed
     lines = [f"# selftest over seeds {base}..{base + n - 1}"]
-    for seed in range(base, base + n):
-        dc, expected = random_zigzag_sum(seed)
-        shuffled = shuffle_basis(dc, seed + 10**6)
+    for name, seed, dc, rs, planted, page1 in _selftest_cases(base, n):
         try:
-            decomp = decompose(shuffled)
+            _, verdict, _, _, decomp = _analyse(dc, rs)
         except InternalError as e:
-            lines.append(f"# seed {seed}: {e}")
-            lines.append(f"# counterexample: {_dump_counterexample(shuffled, seed)}")
-            lines.append("selftest false")
-            return 3, lines
-        got = Counter(s for s, m in decomp.parts for _ in range(m))
-        verdict, _, _ = classify(shuffled)
-        ok = (
-            got == Counter(expected)
-            and verdict.page1_by_definition
-            == verdict.page1_by_dims
-            == page1_by_shape(decomp)
-        )
-        if not ok:
-            lines.append(f"# seed {seed}: route disagreement or multiset mismatch")
-            lines.append(f"# counterexample: {_dump_counterexample(shuffled, seed)}")
-            lines.append("selftest false")
-            return 3, lines
-    # negative control: one injected wedge must flip the verdict
-    from .complexes import direct_sum
-
-    dc, _ = random_zigzag_sum(base, (1, 2, "square"))
-    wedged, _ = direct_sum([dc, catalog_complex("wedge")[0]])
-    verdict, _, _ = classify(wedged)
-    decomp = decompose(wedged)
-    if verdict.page1_by_definition or page1_by_shape(decomp):
-        lines.append("# negative control failed: wedge not detected")
-        lines.append(f"# counterexample: {_dump_counterexample(wedged, base)}")
-        lines.append("selftest false")
-        return 3, lines
-    lines.append("# negative control: injected wedge correctly breaks page-1")
-    # solvable spot checks
-    for seed in range(base, base + min(5, n)):
-        sd = random_solvable(seed)
-        dc, rs = build_C(sd)
-        verdict, _, _ = classify(dc, rs)
-        decomp = decompose(dc)
-        if not (
-            verdict.page1_by_definition
-            and verdict.page1_by_dims
-            and page1_by_shape(decomp)
-        ):
-            lines.append(f"# solvable seed {seed}: page-1 failed")
+            why = str(e)
+        else:
+            got = Counter(shape for shape, m in decomp.parts for _ in range(m))
+            why = None
+            if planted is not None and got != planted:
+                why = "shape multiset mismatch"
+            elif page1 is not None and verdict.page1_by_definition != page1:
+                why = f"page-1 verdict is not {_bool(page1)}"
+        if why:
+            lines.append(f"# {name}: {why}")
             lines.append(f"# counterexample: {_dump_counterexample(dc, seed)}")
             lines.append("selftest false")
             return 3, lines
+    lines.append("# negative control: injected wedge correctly breaks page-1")
     lines.append("# solvable spot checks passed")
     lines.append(f"selftest_seeds {n}")
     lines.append("selftest true")

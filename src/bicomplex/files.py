@@ -8,7 +8,8 @@ bicomplex   space <p> <q> <dim>
             del <p> <q> <row> <col> <scalar>
             delbar <p> <q> <row> <col> <scalar>
             bidegrees and matrix indices 0-based; omitted entries zero;
-            dims summing past MAX_TOTAL_DIM are a ValidationError.
+            dims summing past MAX_TOTAL_DIM, or spaces whose bounding
+            box holds more bidegrees, are a ValidationError.
 
 lie algebra dim <n>
             bracket <i> <j> <k> <scalar>        # [X_i,X_j] has c X_k, i<j, 1-based
@@ -110,6 +111,11 @@ def parse_bicomplex(text: str) -> DoubleComplex:
             deferred.append((lineno, kind, p, q, row, col, _scalar(toks[5], lineno)))
         else:
             raise ParseError(f"line {lineno}: unknown record {kind!r}")
+    if spaces:  # reports and engines walk the whole box: pages, degrees, grids
+        ps, qs = [p for p, _ in spaces], [q for _, q in spaces]
+        box = (max(ps) - min(ps) + 1) * (max(qs) - min(qs) + 1)
+        if box > MAX_TOTAL_DIM:
+            raise ValidationError(f"bidegrees span a box of {box} > {MAX_TOTAL_DIM}")
     for lineno, kind, p, q, row, col, value in deferred:
         tgt = (p + 1, q) if kind == "del" else (p, q + 1)
         if (p, q) not in spaces or tgt not in spaces:

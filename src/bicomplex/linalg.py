@@ -199,20 +199,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.nrows * b.nrows, a.ncols * b.ncols, entries)
 
 
-def block_diag(mats: Iterable[Matrix]) -> Matrix:
-    mats = list(mats)
-    nrows = sum(m.nrows for m in mats)
-    ncols = sum(m.ncols for m in mats)
-    entries: dict[Entry, Scalar] = {}
-    ro = co = 0
-    for m in mats:
-        for (r, c), v in m.entries.items():
-            entries[(r + ro, c + co)] = v
-        ro += m.nrows
-        co += m.ncols
-    return Matrix(nrows, ncols, entries)
-
-
 # -- elimination -----------------------------------------------------------
 
 

@@ -21,9 +21,10 @@ transposed lattice.  With a real structure, conjugation identifies the
 transpose with the complex, so `classify` checks that the row pages
 equal the column pages, dims and d_r ranks.
 
-`classify` computes the five cohomology tables once and checks both
-page lists against them: E_1 against the Dolbeault table (the del table,
-transposed, for the row pages) and E_infinity against de Rham.
+`classify` checks both page lists against the five cohomology tables,
+computed once per complex (`_classify` takes them from a caller that
+has them): E_1 against the Dolbeault table (the del table, transposed,
+for the row pages) and E_infinity against de Rham.
 
 Hodge pieces and purity come from the same two reductions, which track
 the column operations V (de Silva-Morozov-Vejdemo-Johansson, "Dualities
@@ -301,7 +302,11 @@ def classify(dc: DoubleComplex, rs=None) -> tuple[Verdict, list[SpectralPage], l
     the decomposition layer fills it.  With a real structure rs, the row
     pages must equal the column pages.
     """
-    tables = all_tables(dc)
+    return _classify(dc, rs, all_tables(dc))
+
+
+def _classify(dc: DoubleComplex, rs, tables: dict) -> tuple[Verdict, list[SpectralPage], list[SpectralPage]]:
+    """`classify` with dc's five tables already computed."""
     col_red, row_red = _reduce(dc, "col"), _reduce(dc, "row")
     col = _checked_pages(col_red, tables["de_rham"], tables["dolbeault"])
     del_t = {(q, p): d for (p, q), d in tables["del"].items()}

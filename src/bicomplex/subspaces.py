@@ -2,7 +2,7 @@
 
 A subspace is stored by the reduced column echelon basis of any spanning
 set, so two subspaces are equal iff their stored bases are equal.  All
-lattice operations (sum, intersection, preimage, complement) go through
+lattice operations (sum, intersection, preimage) go through
 a single deterministic elimination.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, hstack, kernel, rcef, rref, solve_right
+from .linalg import Matrix, hstack, kernel, rcef, solve_right
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,3 @@ def preimage(m: Matrix, w: Subspace) -> Subspace:
 def image(m: Matrix) -> Subspace:
     return Subspace.from_columns(m.nrows, m)
 
-
-def complement(inner: Subspace, outer: Subspace) -> Subspace:
-    """A deterministic complement of inner within outer.
-
-    Requires inner to be contained in outer.  Greedily extends inner's
-    basis by outer's canonical basis columns (one elimination pass), so
-    the result depends only on the two subspaces.
-    """
-    if not outer.contains(inner):
-        raise ValueError("complement requested of a non-contained subspace")
-    _, pivots = rref(hstack([inner.basis, outer.basis]))
-    js = [p - inner.dim for p in pivots if p >= inner.dim]
-    return Subspace.from_columns(outer.ambient, outer.basis.columns(js))

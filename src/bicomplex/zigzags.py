@@ -31,9 +31,11 @@ else the ops are its coordinates, the closed ends are cleared through
 the source vectors that closed them, and what is left must be exactly
 the open hits.  The rows that are no low complement the target's ends.
 
-Nothing here is trusted: the change of basis is inverted per bidegree
-and must conjugate the input to the block model, the direct sum of the
-parts' own complexes, literally; the model's five tables must match.
+Nothing here is trusted: the change of basis C must be square of full
+rank at every bidegree and carry the block model, the direct sum of the
+parts' own complexes, onto the input literally (d C = C d_model, so
+C^-1 d C is the model without forming C^-1); the model's five tables
+must match the input's.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 from .complexes import Bidegree, DoubleComplex, all_tables, direct_sum
 from .errors import InternalError, ValidationError
-from .linalg import Echelon, Matrix, _subtract, hstack, inverse, kernel, rcef, rref
+from .linalg import Echelon, Matrix, _subtract, hstack, inverse, kernel, rank, rcef, rref
 from .scalars import MINUS_ONE, ONE, sc
 
 
@@ -301,6 +303,11 @@ def decompose(dc: DoubleComplex) -> Decomposition:
     problems = dc.validate()
     if problems:
         raise ValidationError("decompose on invalid complex: " + "; ".join(problems))
+    return _decompose(dc, all_tables(dc))
+
+
+def _decompose(dc: DoubleComplex, tables: dict) -> Decomposition:
+    """`decompose` on a valid dc whose five tables are already computed."""
     act = {pq: Matrix.identity(dc.spaces[pq]) for pq in dc.spaces}
     # the active subcomplex in its own coordinates; spent spaces stay at dim 0
     cur = DoubleComplex(dict(dc.spaces), dict(dc.del_maps), dict(dc.delbar_maps))
@@ -313,13 +320,11 @@ def decompose(dc: DoubleComplex) -> Decomposition:
             cols[bid].append(vec)
 
     change: dict[Bidegree, Matrix] = {}
-    inv: dict[Bidegree, Matrix] = {}
     for pq, vs in cols.items():
-        try:  # none, too few, too many or dependent vectors all fail here
-            change[pq] = hstack(vs)
-            inv[pq] = inverse(change[pq])
-        except ValueError:
-            raise InternalError(f"the parts give no basis at {pq}") from None
+        # none, too few, too many or dependent vectors all fail here
+        change[pq] = hstack(vs) if vs else Matrix.zero(dc.spaces[pq], 0)
+        if not (change[pq].ncols == rank(change[pq]) == dc.spaces[pq]):
+            raise InternalError(f"the parts give no basis at {pq}")
     # each part adds one vector per bidegree it meets, in the order of cols
     model, _ = direct_sum([
         _square_complex(*part.verts[0][0]) if part.kind == "square"
@@ -329,11 +334,11 @@ def decompose(dc: DoubleComplex) -> Decomposition:
     for maps, dc_map, (dp, dq) in ((model.del_maps, dc.del_map, (1, 0)),
                                    (model.delbar_maps, dc.delbar_map, (0, 1))):
         for (p, q), want in maps.items():
-            if inv[(p + dp, q + dq)] @ dc_map(p, q) @ change[(p, q)] != want:
+            if dc_map(p, q) @ change[(p, q)] != change[(p + dp, q + dq)] @ want:
                 raise InternalError(
                     f"conjugated differential is not block-diagonal at ({p},{q})"
                 )
-    if all_tables(model) != all_tables(dc):
+    if all_tables(model) != tables:
         raise InternalError("block model changes a cohomology table")
 
     grouped: list[tuple[Shape, int]] = []

@@ -3,12 +3,24 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import bicomplex
-from bicomplex import catalog_names, cli, complexes, spectral
+from bicomplex import (
+    InternalError,
+    build_C,
+    catalog_names,
+    cli,
+    complexes,
+    parse_bicomplex,
+    random_solvable,
+    random_zigzag_sum,
+    shuffle_basis,
+    spectral,
+)
 from bicomplex.cli import main
 from bicomplex.files import MAX_TOTAL_DIM
 from conftest import run_cli, run_cli_err
@@ -183,13 +195,16 @@ def test_fss_both_computes_de_rham_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+# the names the reports call: the engines' entry points that take the
+# known tables, with ids naming the engine
 @pytest.mark.parametrize(
     "callee, argv",
     [
         ("ce_complex", ["lie", "abelian:2"]),
-        ("decompose", ["classify", "catalog:square"]),
-        ("classify", ["solv", "nakamura:real"]),
+        ("_decompose", ["classify", "catalog:square"]),
+        ("_classify", ["solv", "nakamura:real"]),
     ],
+    ids=lambda v: v.lstrip("_") if isinstance(v, str) else None,
 )
 @pytest.mark.parametrize(
     "error",
@@ -209,6 +224,35 @@ def test_other_exceptions_exit_3_with_one_line(monkeypatch, capsys, callee, argv
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
     assert err == f"internal error: {type(error).__name__}: {error}\n"
+
+
+TABLE_FUNCTIONS = ("dolbeault_table", "del_table", "bott_chern_table",
+                   "aeppli_table", "de_rham_table")
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["classify", "catalog:heisenberg3-invariant"], 2),  # the input and the block model
+    (["solv", "nakamura:real"], 2),
+    (["splitting", "nakamura:identically"], 2),
+    (["decompose", "catalog:wedge"], 2),
+    (["cohomology", "catalog:wedge"], 1),
+])
+def test_each_table_is_computed_once_per_complex(monkeypatch, capsys, argv, calls):
+    counts = Counter()
+    for name in TABLE_FUNCTIONS:
+        original = getattr(complexes, name)
+
+        def counting(dc, name=name, original=original):
+            counts[name] += 1
+            return original(dc)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("bicomplex") and \
+                    getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    code, _ = run_cli(capsys, [*argv, "--format", "machine"])
+    assert code == 0
+    assert counts == dict.fromkeys(TABLE_FUNCTIONS, calls)
 
 
 def test_classify_max_page_caps_output(capsys, tmp_path):
@@ -301,6 +345,35 @@ def test_selftest_small(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert out.splitlines()[-2:] == ["selftest_seeds 2", "selftest true"]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("real_only, name", [
+    (False, "seed 0"),
+    (True, "solvable seed 0"),  # the spot checks alone have a real structure
+])
+def test_selftest_dumps_on_an_internal_error(capsys, tmp_path, monkeypatch, real_only, name):
+    # classify breaks on the first complex, or on the first solvable one
+    monkeypatch.chdir(tmp_path)
+    classify = cli._classify
+
+    def failing(dc, rs, tables):
+        if real_only and rs is None:
+            return classify(dc, rs, tables)
+        raise InternalError("page 1 disagrees with Dolbeault dimensions")
+
+    monkeypatch.setattr(cli, "_classify", failing)
+    code, out = run_cli(capsys, ["selftest", "--seeds", "2"])
+    assert code == 3
+    dump = tmp_path / "selftest_counterexample_0.bicomplex"
+    assert out.splitlines()[-3:] == [
+        f"# {name}: page 1 disagrees with Dolbeault dimensions",
+        f"# counterexample: {dump}",
+        "selftest false",
+    ]
+    assert list(tmp_path.iterdir()) == [dump]
+    failed = build_C(random_solvable(0))[0] if real_only else \
+        shuffle_basis(random_zigzag_sum(0)[0], 10**6)
+    assert parse_bicomplex(dump.read_text()) == failed
 
 
 def test_console_script_help():

@@ -80,6 +80,16 @@ def test_bicomplex_total_dimension_budget():
         parse_bicomplex("space 0 0 99999999999999999999999\n")
 
 
+def test_bicomplex_bounding_box_budget():
+    # the reports and the engines walk every bidegree of the support's
+    # bounding box, so a far-off space costs as much as a full box
+    corners = "space 0 0 1\nspace 63 63 1\n"  # 64 x 64 = MAX_TOTAL_DIM
+    assert parse_bicomplex(corners).total_dim() == 2
+    for far in ("64 0", "-1 0", "0 64", "0 -99999999999999999999"):
+        with pytest.raises(ValidationError, match=f"bidegrees span a box of .* > {MAX_TOTAL_DIM}"):
+            parse_bicomplex(f"{corners}space {far} 1\n")
+
+
 HUGE = "9" * 23
 
 

@@ -8,7 +8,6 @@ from bicomplex import (
     Matrix,
     ONE,
     ZERO,
-    block_diag,
     hstack,
     inverse,
     kernel,
@@ -64,8 +63,6 @@ def test_stacking_and_kron():
     e = Matrix.identity(2)
     k = kron(e, rows([5]))
     assert k == rows([5, 0], [0, 5])
-    bd = block_diag([rows([1]), rows([2, 3], [4, 5])])
-    assert bd.nrows == 3 and bd.ncols == 3 and bd.get(1, 1) == sc(2)
 
 
 def test_rref_known_matrix():

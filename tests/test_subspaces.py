@@ -2,7 +2,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from bicomplex import Matrix, Subspace, complement, image, preimage, rank, sc
+from bicomplex import Matrix, Subspace, image, preimage, rank, sc
 from conftest import random_matrix
 
 
@@ -42,15 +42,6 @@ def test_preimage_and_image():
     assert pre.contains_vector(Matrix.column_vector([sc(0), sc(0), sc(5)]))
     img = image(proj)
     assert img.dim == 2
-
-
-def test_complement_dims():
-    u = span(3, [1, 0, 0])
-    w = span(3, [1, 0, 0], [0, 1, 0])
-    c = complement(u, w)
-    assert c.dim == 1
-    assert u.sum(c).dim == w.dim
-    assert w.contains(c)
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,6 +21,7 @@ from bicomplex import (
     random_zigzag_sum,
     report_lines,
     shuffle_basis,
+    sc,
     write_bicomplex,
 )
 from bicomplex import linalg, zigzags
@@ -142,8 +143,8 @@ def test_random_sum_recovery(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 3])
 def test_phase_b_forms_no_inverse(monkeypatch, seed):
-    # a zigzag-only sum has no squares, so phase A inverts nothing and the
-    # certification inverts once per bidegree: phase B must add no inverse
+    # a zigzag-only sum has no squares, so phase A inverts nothing, and
+    # neither phase B nor the certification may invert anything
     dc, _ = random_zigzag_sum(seed, (1, 2, 3, 4, 5))
     shuffled = shuffle_basis(dc, seed + 10**6)
     calls = []
@@ -155,7 +156,7 @@ def test_phase_b_forms_no_inverse(monkeypatch, seed):
     monkeypatch.setattr("bicomplex.zigzags.inverse", counting)
     d = decompose(shuffled)
     assert not any(isinstance(shape, Square) for shape, _ in d.parts)
-    assert len(calls) == len(shuffled.spaces)
+    assert calls == []
 
 
 def test_random_page1_complexes_stay_page1():
@@ -179,11 +180,13 @@ def test_recovery_timing_budget():
     assert time.time() - t0 < 10.0
 
 
-@pytest.mark.parametrize("seed", [0, 1, 116])
+@pytest.mark.parametrize("seed", [0, 1, 116, 20, 24])
 def test_decompose_solves_only_to_invert(monkeypatch, seed):
-    # the active subcomplex keeps its own coordinates and phase B reads its
-    # candidates off echelons: the only solves are the certification's
-    # inverses, one each, wherever the package binds solve_right
+    # the active subcomplex keeps its own coordinates, phase B reads its
+    # candidates off echelons and the certification forms no inverse: the
+    # only solves, wherever the package binds solve_right, are phase A's
+    # inverses, one per anchor that peels squares (seeds 20 and 24 have
+    # two and three anchors, the others none)
     dc, _ = random_zigzag_sum(seed)
     shuffled = shuffle_basis(dc, seed + 10**6)
     calls = Counter()
@@ -200,8 +203,9 @@ def test_decompose_solves_only_to_invert(monkeypatch, seed):
                 getattr(mod, "solve_right", None) is solve:
             monkeypatch.setattr(mod, "solve_right", counting("solve", solve))
     monkeypatch.setattr(zigzags, "inverse", counting("inverse", zigzags.inverse))
-    decompose(shuffled)
-    assert calls["solve"] == calls["inverse"] > 0
+    d = decompose(shuffled)
+    anchors = sum(isinstance(shape, Square) for shape, _ in d.parts)
+    assert calls["solve"] == calls["inverse"] == anchors
 
 
 def test_shrink_refuses_a_leaking_basis(monkeypatch):
@@ -223,6 +227,53 @@ def test_shrink_refuses_a_leaking_basis(monkeypatch):
 
     monkeypatch.setattr(zigzags, "_shrink", corrupted)
     with pytest.raises(InternalError, match="leaks outside the active subspace"):
+        decompose(shuffled)
+
+
+def _corrupt_zigzags(monkeypatch, corrupt):
+    """Let corrupt edit the raw parts phase B hands to the certification."""
+    phase_b = zigzags._phase_b
+
+    def corrupted(dc, act, cur):
+        parts = phase_b(dc, act, cur)
+        corrupt(parts)
+        return parts
+
+    monkeypatch.setattr(zigzags, "_phase_b", corrupted)
+
+
+def test_certificate_refuses_dependent_vectors(monkeypatch):
+    # one vertex vector replaced by another's at the same bidegree: as
+    # many vectors as dims, but they span too little
+    shuffled = shuffle_basis(random_zigzag_sum(0)[0], 10**6)
+
+    def duplicate(parts):
+        seen = {}
+        for part in parts:
+            for i, (bid, vec) in enumerate(part.verts):
+                if bid in seen:
+                    part.verts[i] = (bid, seen[bid])
+                    return
+                seen[bid] = vec
+        raise AssertionError("no bidegree meets two vertices")
+
+    _corrupt_zigzags(monkeypatch, duplicate)
+    with pytest.raises(InternalError, match="the parts give no basis"):
+        decompose(shuffled)
+
+
+def test_certificate_refuses_a_scaled_vector(monkeypatch):
+    # doubling one vertex of a line keeps a basis, but the differential
+    # then maps the vertices by 2 or 1/2, not by the model's 1
+    shuffled = shuffle_basis(random_zigzag_sum(0)[0], 10**6)
+
+    def double(parts):
+        part = next(part for part in parts if len(part.verts) > 1)
+        bid, vec = part.verts[0]
+        part.verts[0] = (bid, vec.scale(sc(2)))
+
+    _corrupt_zigzags(monkeypatch, double)
+    with pytest.raises(InternalError, match="not block-diagonal"):
         decompose(shuffled)
 
 
