@@ -312,12 +312,9 @@ def semisimple_e2_model(g: LieAlgebra, betti: BettiVector) -> E2Model:
             d = h.get(p, 0) * betti.get(q)
             if d:
                 dims[(p, q)] = d
-    failures = []
-    degrees = range(max(g.dim + 1, len(betti.b)))
-    for p in degrees:
-        for q in degrees:
-            if p < q and dims.get((p, q), 0) != dims.get((q, p), 0):
-                failures.append((p, q))
+    # only a pair with a nonzero side can fail: scan the keys and their mirrors
+    pairs = sorted({(min(pq), max(pq)) for pq in dims if pq[0] != pq[1]})
+    failures = [(p, q) for p, q in pairs if dims.get((p, q), 0) != dims.get((q, p), 0)]
     return E2Model(dims, 2, failures, not failures)
 
 

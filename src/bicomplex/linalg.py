@@ -1,9 +1,13 @@
 """Sparse exact linear algebra over Q(i).
 
 Matrices are stored as dicts mapping (row, col) -> Scalar with no zero
-entries.  `rref` picks the leftmost pivot column and, within it, the
-smallest available row; `Echelon` keys sparse columns by their largest
-row.  Every result is a deterministic function of the input.
+entries.  `Echelon` keys sparse columns by their largest row; every
+rank, kernel and pivot set (`rank`, `kernel`, the spectral reductions,
+both phases of decomposition) is read off `echelon(m)`, m's columns
+added left to right.  `rref` (leftmost pivot column, then smallest row)
+serves reduced forms only: `solve_right`, `inverse` and `rcef`, i.e.
+`Subspace`.  Both find the same pivot columns, those outside the span
+of the columns before them.  Every result is deterministic.
 """
 
 from __future__ import annotations
@@ -250,33 +254,10 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     return Matrix(m.nrows, m.ncols, entries), pivots
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
 def rcef(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced column echelon form and the list of pivot rows."""
     r, pivots = rref(m.transpose())
     return r.transpose(), pivots
-
-
-def kernel(m: Matrix) -> Matrix:
-    """Columns form the canonical basis of the right null space.
-
-    One basis vector per free column, in ascending free-column order,
-    with a 1 in the free coordinate.
-    """
-    r, pivots = rref(m)
-    pivset = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivset]
-    entries: dict[Entry, Scalar] = {}
-    for j, f in enumerate(free):
-        entries[(f, j)] = ONE
-        for i, p in enumerate(pivots):
-            v = r.get(i, f)
-            if v:
-                entries[(p, j)] = -v
-    return Matrix(m.ncols, len(free), entries)
 
 
 def solve_right(a: Matrix, b: Matrix) -> Matrix | None:
@@ -341,10 +322,48 @@ class Echelon:
         return None
 
     def add(self, col: Column, ops: Column) -> int | None:
-        """Reduce col, then keep what is left under its low (returned)."""
+        """Reduce col, then keep copies of it and its ops, scaled to 1 at its low (returned)."""
         low = self.reduce(col, ops)
         if low is not None:
-            inv = col[low].inverse()
-            self.cols[low] = {i: inv * v for i, v in col.items()}
-            self.ops[low] = {i: inv * v for i, v in ops.items()}
+            if col[low] == ONE:
+                self.cols[low], self.ops[low] = dict(col), dict(ops)
+            else:
+                inv = col[low].inverse()
+                self.cols[low] = {i: inv * v for i, v in col.items()}
+                self.ops[low] = {i: inv * v for i, v in ops.items()}
         return low
+
+
+def _columns(m: Matrix) -> list[Column]:
+    """m's columns, sparse."""
+    cols: list[Column] = [{} for _ in range(m.ncols)]
+    for (r, c), v in m.entries.items():
+        cols[c][r] = v
+    return cols
+
+
+def echelon(m: Matrix) -> tuple[Echelon, dict[int, int], Matrix]:
+    """m's columns added left to right, column j with ops {j: 1}: the echelon,
+    the low of each column outside the span of those before it (rref's
+    pivot columns) and the kernel.  Its column for each other column j is
+    j's ops: the one null vector that is 1 at j and 0 off j and the pivots."""
+    ech, lows, free = Echelon(), {}, []
+    for j, col in enumerate(_columns(m)):
+        ops = {j: ONE}
+        low = ech.add(col, ops)
+        if low is None:
+            free.append(ops)
+        else:
+            lows[j] = low
+    entries = {(i, c): v for c, ops in enumerate(free) for i, v in ops.items()}
+    return ech, lows, Matrix(m.ncols, len(free), entries)
+
+
+def kernel(m: Matrix) -> Matrix:
+    """The canonical basis of the right null space, as `echelon` gives it."""
+    return echelon(m)[2]
+
+
+def rank(m: Matrix) -> int:
+    ech = Echelon()  # no ops: a bare rank
+    return sum(ech.add(col, {}) is not None for col in _columns(m))

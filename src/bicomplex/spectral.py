@@ -7,11 +7,12 @@ the total differential del + delbar (Edelsbrunner-Letscher-Zomorodian,
 filtrations", Expo. Math. 2017).  The cells are the basis vectors of
 all spaces, ordered by descending p, then descending q; in that order
 every F^p is a prefix and del + delbar is strictly upper triangular.
-The columns are added left to right to a `linalg.Echelon`, each pivot
-being its lowest nonzero row.  A pivot pair with its low row at
-(p_i, q_i) and its column at (p_j, q_j) has length r = p_i - p_j: it is
-a d_r from (p_j, q_j) to (p_i, q_i), so it adds 1 to E_s at both
-bidegrees for every 1 <= s <= r and 1 to the rank of d_r at (p_j, q_j).
+It is one `linalg.echelon` of that matrix, columns added left to
+right, each pivot being its lowest nonzero row.  A pivot pair with its
+low row at (p_i, q_i) and its column at (p_j, q_j) has length
+r = p_i - p_j: it is a d_r from (p_j, q_j) to (p_i, q_i), so it adds 1
+to E_s at both bidegrees for every 1 <= s <= r and 1 to the rank of d_r
+at (p_j, q_j).
 Pairs of length 0 are cancelled by delbar already on E_0.  Unpaired
 cells count on every page; they make up E_infinity.
 
@@ -58,7 +59,7 @@ from .complexes import (
     transpose_complex,
 )
 from .errors import InternalError
-from .linalg import Column, Echelon, Matrix, hstack, kernel, rank, vstack
+from .linalg import Column, Echelon, Matrix, _columns, echelon, hstack, kernel, rank, vstack
 from .scalars import ONE
 
 
@@ -103,7 +104,9 @@ class _Reduction:
 
 
 def _reduce(dc: DoubleComplex, filtration: str) -> _Reduction:
-    """The persistence reduction of one filtration, tracking V."""
+    """The persistence reduction of one filtration: one `echelon` of the
+    total differential in cell order.  The lows give the pairs; kernel
+    column V_j, 1 at its low j, is z_j unless j is a low, where it bounds."""
     if filtration == "row":
         dc = transpose_complex(dc)
     elif filtration != "col":
@@ -114,7 +117,7 @@ def _reduce(dc: DoubleComplex, filtration: str) -> _Reduction:
     for pq in order:
         start[pq] = len(cells)
         cells += [pq] * dc.spaces[pq]
-    columns: list[Column] = [{} for _ in cells]
+    entries = {}
     for (p, q) in order:
         for tgt, m in (
             ((p + 1, q), dc.del_map(p, q)),
@@ -122,19 +125,11 @@ def _reduce(dc: DoubleComplex, filtration: str) -> _Reduction:
         ):
             if tgt in start:
                 for (r, c), v in m.entries.items():
-                    columns[start[(p, q)] + c][start[tgt] + r] = v
-    ech = Echelon()  # R per low, with its V as ops
-    cocycles: dict[int, Column] = {}
-    pairs: list[tuple[int, int]] = []
-    for j, col in enumerate(columns):
-        v_j: Column = {j: ONE}
-        low = ech.add(col, v_j)
-        if low is None:
-            cocycles[j] = v_j
-        else:
-            pairs.append((low, j))
-    for low, _ in pairs:  # a cocycle that is a low bounds: no class
-        cocycles.pop(low, None)
+                    entries[(start[tgt] + r, start[(p, q)] + c)] = v
+    ech, lows, ker = echelon(Matrix(len(cells), len(cells), entries))  # R per low, V as ops
+    pairs = [(low, j) for j, low in lows.items()]
+    bounded = set(lows.values())
+    cocycles = {max(z): z for z in _columns(ker) if max(z) not in bounded}
     return _Reduction(filtration, dc, cells, start, pairs, ech, cocycles)
 
 
@@ -266,9 +261,7 @@ def _pieces(col: _Reduction, row: _Reduction) -> tuple[HodgePieces, dict[int, bo
             fbar = w.columns([c for c, qc in enumerate(wq) if qc >= q])
             span = fbar @ kernel(fbar.rows([n for n, pj in enumerate(zp) if pj < p]))
             closed = kernel(vstack([dc.del_map(p, q), dc.delbar_map(p, q)]))
-            forms: list[Column] = [{} for _ in range(closed.ncols)]
-            for (r, c), v in closed.entries.items():
-                forms[c][col.start[(p, q)] + r] = v
+            forms = [{col.start[(p, q)] + r: v for r, v in z.items()} for z in _columns(closed)]
             bc = rank(_class_matrix(col, ech, place, forms))
             if span.ncols != bc:
                 raise InternalError(f"filtration intersection {span.ncols} != "

@@ -4,14 +4,18 @@ The active subcomplex is kept in its own coordinates.  Each shrink of
 an active space multiplies its basis by a K that is 1 at each column's
 low and 0 at the other columns' lows (a canonical kernel basis, or unit
 columns), so the maps into it keep the rows at K's lows, checked to
-lose nothing, and the maps out of it compose with K: decompose solves
-nothing outside the certification.
+lose nothing, and the maps out of it compose with K.  Ranks, kernels
+and pivots come from `linalg.echelon`: decompose solves and inverts nothing.
 
 Phase A peels squares: at each anchor (p,q) in increasing (p+q, p),
-generators are chosen behind a complement of ker(del delbar); the four
-square vectors split off, and the remaining active subspaces need no
-correction because every incoming image lies in ker(del delbar) and
-every outgoing image of the new actives misses the square lines.
+one echelon of lam = del delbar gives the generators (its pivot
+columns), ker lam and the lows L of im lam.  The unit vectors off L
+complement im lam, and y lies in their span iff y vanishes on L, so
+the actives at (p+1,q) and (p,q+1) shrink to the kernels of delbar and
+del on the rows L.  The four square vectors split off, and the
+remaining active subspaces need no correction because every incoming
+image lies in ker(del delbar) and every outgoing image of the new
+actives misses the square lines.
 
 Phase B decomposes the remainder, where all compositions of del and
 delbar vanish.  A zigzag then only ever alternates between two
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 
 from .complexes import Bidegree, DoubleComplex, all_tables, direct_sum
 from .errors import InternalError, ValidationError
-from .linalg import Echelon, Matrix, _subtract, hstack, inverse, kernel, rank, rcef, rref
+from .linalg import Echelon, Matrix, _columns, _subtract, echelon, hstack, inverse, kernel, rank
 from .scalars import MINUS_ONE, ONE, sc
 
 
@@ -82,16 +86,6 @@ def _units(n: int, rows: list[int]) -> Matrix:
     return Matrix(n, len(rows), {(i, j): ONE for j, i in enumerate(rows)})
 
 
-def _column(v: Matrix) -> dict:
-    return {r: x for (r, _), x in v.entries.items()}
-
-
-def _unit_complement(cols: Matrix) -> Matrix:
-    """Unit vectors spanning a complement of the column span."""
-    taken = set(rcef(cols)[1])
-    return _units(cols.nrows, [i for i in range(cols.nrows) if i not in taken])
-
-
 def _shrink(act: dict[Bidegree, Matrix], cur: DoubleComplex, pq: Bidegree, k: Matrix) -> None:
     """Shrink the active space at pq to the span of act[pq] @ k."""
     (p, q), lows = pq, [0] * k.ncols
@@ -119,15 +113,12 @@ def _phase_a(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex)
         lam = b2 @ a2
         if lam.is_zero:
             continue
-        _, piv = rref(lam)
-        wmat = _units(lam.ncols, piv)
-        cmat = lam @ wmat
-        c3 = _unit_complement(cmat)
-        minv = inverse(hstack([cmat, c3]))
-        pi_c = minv.rows(list(range(cmat.ncols)))
-        k = kernel(lam)
-        c1 = kernel(pi_c @ b1)
-        c2 = kernel(pi_c @ b2)
+        _, piv, k = echelon(lam)
+        wmat = _units(lam.ncols, list(piv))
+        lows = sorted(piv.values())  # L: the unit columns off L complement im lam
+        c3 = _units(lam.nrows, sorted(set(range(lam.nrows)) - set(lows)))
+        c1 = kernel(b1.rows(lows))
+        c2 = kernel(b2.rows(lows))
         w_orig = act[(p, q)] @ wmat
         a_orig = dc.del_map(p, q) @ w_orig
         b_orig = dc.delbar_map(p, q) @ w_orig
@@ -193,13 +184,12 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex)
             t_right = (p + 1, q)
             lmat, rmat = cur.delbar_map(p, q), cur.del_map(p, q)
             left, left_ech = ends.setdefault(t_left, ([], Echelon()))
-            ker = kernel(rmat)
-            _, piv = rref(rmat)
+            _, piv, ker = echelon(rmat)
             candidates = [("ker", ker.column(j)) for j in range(ker.ncols)]
             candidates += [("piv", _units(ns, [c])) for c in piv]
             for kind, v in candidates:
                 lv = lmat @ v
-                col, ops = _column(lv), {}
+                col, ops = _columns(lv)[0], {}
                 if left_ech.reduce(col, ops) is not None:
                     # the image leaves the span of the ends: a new line, closed by v
                     left_ech.add(col, {**ops, len(left): ONE})  # col is lv + sum ops_i end_i
@@ -253,7 +243,7 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex)
                 if kind == "piv":
                     rv = rmat @ v
                     right, right_ech = ends.setdefault(t_right, ([], Echelon()))
-                    if right_ech.add(_column(rv), {len(right): ONE}) is None:
+                    if right_ech.add(_columns(rv)[0], {len(right): ONE}) is None:
                         raise InternalError(f"frontier collapsed at ({p},{q}) level {k}")
                     hit_string.verts.append((t_right, rv))
                     right.append(_End(hit_string, len(hit_string.verts) - 1))

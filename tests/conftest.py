@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 
 import pytest
 
@@ -58,6 +60,27 @@ def random_matrix(rng: random.Random, nrows: int, ncols: int, density=0.6) -> Ma
             if rng.random() < density:
                 entries[(r, c)] = sc(rng.randint(-3, 3), rng.randint(-1, 1))
     return Matrix(nrows, ncols, entries)
+
+
+def count_calls(monkeypatch, module, names) -> Counter:
+    """Count calls of module's functions `names`, each wrapped wherever a
+    bicomplex module binds it, so calls through any of those names count."""
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    for name in names:
+        original = getattr(module, name)
+        wrapped = counting(name, original)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("bicomplex") and \
+                    getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapped)
+    return calls
 
 
 @pytest.fixture

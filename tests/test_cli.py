@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,9 +11,11 @@ import bicomplex
 from bicomplex import (
     InternalError,
     build_C,
+    catalog_complex,
     catalog_names,
     cli,
     complexes,
+    linalg,
     parse_bicomplex,
     random_solvable,
     random_zigzag_sum,
@@ -23,7 +24,7 @@ from bicomplex import (
 )
 from bicomplex.cli import main
 from bicomplex.files import MAX_TOTAL_DIM
-from conftest import run_cli, run_cli_err
+from conftest import count_calls, run_cli, run_cli_err
 
 WEDGE_CLASSIFY = """\
 tool_version 0.1.0
@@ -238,21 +239,22 @@ TABLE_FUNCTIONS = ("dolbeault_table", "del_table", "bott_chern_table",
     (["cohomology", "catalog:wedge"], 1),
 ])
 def test_each_table_is_computed_once_per_complex(monkeypatch, capsys, argv, calls):
-    counts = Counter()
-    for name in TABLE_FUNCTIONS:
-        original = getattr(complexes, name)
-
-        def counting(dc, name=name, original=original):
-            counts[name] += 1
-            return original(dc)
-
-        for module in list(sys.modules.values()):
-            if getattr(module, "__name__", "").startswith("bicomplex") and \
-                    getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counting)
+    counts = count_calls(monkeypatch, complexes, TABLE_FUNCTIONS)
     code, _ = run_cli(capsys, [*argv, "--format", "machine"])
     assert code == 0
     assert counts == dict.fromkeys(TABLE_FUNCTIONS, calls)
+
+
+def test_analysis_makes_no_rref_call(monkeypatch):
+    # every rank, kernel and pivot set of both engines comes from
+    # linalg.echelon; building solvable data checks it with Subspace,
+    # which still reduces by rref, so the complexes are built first
+    inputs = [catalog_complex(name) for name in catalog_names()]
+    inputs += [build_C(random_solvable(seed)) for seed in range(4)]
+    calls = count_calls(monkeypatch, linalg, ("rref",))
+    for dc, rs in inputs:
+        cli._analyse(dc, rs)
+    assert not calls
 
 
 def test_classify_max_page_caps_output(capsys, tmp_path):

@@ -1,5 +1,8 @@
-import pytest
+import random
+import time
 from math import comb
+
+import pytest
 
 from bicomplex import (
     BettiVector,
@@ -28,6 +31,7 @@ from bicomplex import (
     validate_lie,
 )
 from bicomplex.lie import realify, validate_subalgebra
+from conftest import run_cli
 
 
 def test_validate_lie_catches_jacobi_failure():
@@ -128,6 +132,29 @@ def test_semisimple_e2_model_obstructions(r):
     # exactly the bidegrees where h^p b_q != h^q b_p, with h = (1,0,0,1)
     assert sorted(m.symmetry_failures) == [(0, 1), (0, 2), (1, 3), (2, 3)]
     assert m.dims[(0, 1)] == r and m.dims.get((1, 0), 0) == 0
+
+
+@pytest.mark.parametrize("g", [sl2(), heisenberg3(), abelian(2)], ids=["sl2", "heisenberg3", "abelian2"])
+def test_semisimple_e2_model_failures_match_the_full_scan(g):
+    rng = random.Random(5)
+    for _ in range(40):
+        betti = BettiVector((1, *(rng.choice([0, 0, 1, 2]) for _ in range(rng.randint(0, 7)))))
+        m = semisimple_e2_model(g, betti)
+        degrees = range(max(g.dim + 1, len(betti.b)))
+        assert m.symmetry_failures == [
+            (p, q) for p in degrees for q in degrees
+            if p < q and m.dims.get((p, q), 0) != m.dims.get((q, p), 0)
+        ]
+
+
+def test_ssmodel_scales_with_the_betti_vector(capsys):
+    # the symmetry scan once walked every pair of degrees: 6 s at 8000 entries
+    betti = ",".join(["1"] + [str(i % 3) for i in range(1, 20000)])
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, ["ssmodel", "--algebra", "sl2", "--betti", betti,
+                                 "--format", "machine"])
+    assert time.perf_counter() - t0 < 10.0
+    assert code == 0 and out.splitlines()[-1] == "page1_symmetry false"
 
 
 def test_theoremB_verdict():

@@ -19,7 +19,7 @@ from bicomplex import (
     solve_right,
     vstack,
 )
-from bicomplex.linalg import Echelon
+from bicomplex.linalg import Echelon, echelon
 from conftest import random_matrix
 
 
@@ -187,3 +187,54 @@ def test_echelon_reduces_by_distinct_lows(seed, nrows, nfree, ndep):
         assert ech.reduce(residue, ops) is None and residue == {}
         # what was cleared, col itself, is minus the combination of the ops
         assert _combination(ops, cols) == {i: -v for i, v in col.items()}
+
+
+def _rref_kernel(m):
+    """The canonical kernel read off rref: per free column f, 1 at f and
+    minus rref's column f at the pivot columns."""
+    r, pivots = rref(m)
+    free = [c for c in range(m.ncols) if c not in pivots]
+    entries = {}
+    for j, f in enumerate(free):
+        entries[(f, j)] = ONE
+        for i, p in enumerate(pivots):
+            if r.get(i, f):
+                entries[(p, j)] = -r.get(i, f)
+    return Matrix(m.ncols, len(free), entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5),
+       st.integers(0, 4), st.integers(0, 2))
+def test_echelon_agrees_with_rref(seed, nrows, nfree, ndep, nzero):
+    rng = random.Random(seed)
+    a = random_matrix(rng, nrows, nfree, density=0.4)
+    # dependent and zero columns, shuffled in among a's
+    m = hstack([a, a @ random_matrix(rng, nfree, ndep), Matrix.zero(nrows, nzero)])
+    order = list(range(m.ncols))
+    rng.shuffle(order)
+    m = m.columns(order)
+
+    ech, lows, ker = echelon(m)
+    pivots = rref(m)[1]
+    assert list(lows) == pivots
+    assert ker == _rref_kernel(m)
+    assert rank(m) == len(pivots) == len(ech.cols)
+    assert sorted(lows.values()) == sorted(ech.cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
+def test_echelon_keeps_copies_of_what_it_is_given(seed, nrows, ncols):
+    m = random_matrix(random.Random(seed), nrows, ncols)
+    ech, given_ = Echelon(), []
+    for j in range(ncols):
+        col, ops = {r: v for (r, c), v in m.entries.items() if c == j}, {j: ONE}
+        ech.add(col, ops)
+        given_ += [col, ops]
+    before = ({k: dict(c) for k, c in ech.cols.items()},
+              {k: dict(o) for k, o in ech.ops.items()})
+    for d in given_:
+        d.clear()
+        d[nrows + ncols] = ONE
+    assert (ech.cols, ech.ops) == before

@@ -1,5 +1,4 @@
 import hashlib
-import sys
 import time
 from collections import Counter
 
@@ -25,7 +24,7 @@ from bicomplex import (
     write_bicomplex,
 )
 from bicomplex import linalg, zigzags
-from conftest import ONE_1x1, staircase
+from conftest import ONE_1x1, count_calls, staircase
 from bicomplex import DoubleComplex
 
 
@@ -181,31 +180,18 @@ def test_recovery_timing_budget():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 116, 20, 24])
-def test_decompose_solves_only_to_invert(monkeypatch, seed):
-    # the active subcomplex keeps its own coordinates, phase B reads its
-    # candidates off echelons and the certification forms no inverse: the
-    # only solves, wherever the package binds solve_right, are phase A's
-    # inverses, one per anchor that peels squares (seeds 20 and 24 have
-    # two and three anchors, the others none)
+def test_decompose_solves_and_inverts_nothing(monkeypatch, seed):
+    # phase A reads its squares, kernels and complement off one echelon,
+    # phase B its candidates off echelons, the active subcomplex keeps its
+    # own coordinates and the certification forms no inverse (seeds 20
+    # and 24 peel squares at two and three anchors, the others at none)
     dc, _ = random_zigzag_sum(seed)
     shuffled = shuffle_basis(dc, seed + 10**6)
-    calls = Counter()
-
-    def counting(name, f):
-        def wrapped(*args):
-            calls[name] += 1
-            return f(*args)
-        return wrapped
-
-    solve = linalg.solve_right
-    for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("bicomplex") and \
-                getattr(mod, "solve_right", None) is solve:
-            monkeypatch.setattr(mod, "solve_right", counting("solve", solve))
-    monkeypatch.setattr(zigzags, "inverse", counting("inverse", zigzags.inverse))
+    calls = count_calls(monkeypatch, linalg, ("solve_right", "inverse", "rref", "rcef"))
     d = decompose(shuffled)
+    assert not calls
     anchors = sum(isinstance(shape, Square) for shape, _ in d.parts)
-    assert calls["solve"] == calls["inverse"] == anchors
+    assert anchors == {20: 2, 24: 3}.get(seed, 0)
 
 
 def test_shrink_refuses_a_leaking_basis(monkeypatch):
