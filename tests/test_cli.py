@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import bicomplex
 from bicomplex import (
     InternalError,
+    ONE,
     build_C,
     catalog_complex,
     catalog_names,
@@ -255,6 +257,26 @@ def test_analysis_makes_no_rref_call(monkeypatch):
     for dc, rs in inputs:
         cli._analyse(dc, rs)
     assert not calls
+
+
+def test_analysis_builds_no_fraction(monkeypatch):
+    # elimination runs on the ints inside Scalar; only formatting and
+    # sorting read its Fraction views re and im
+    inputs = [catalog_complex(name) for name in catalog_names()]
+    inputs += [build_C(random_solvable(seed)) for seed in range(4)]
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert ONE.re == 1 and built  # the count sees the views
+    built.clear()
+    for dc, rs in inputs:
+        cli._analyse(dc, rs)
+    assert not built
 
 
 def test_classify_max_page_caps_output(capsys, tmp_path):
