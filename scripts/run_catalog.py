@@ -33,14 +33,14 @@ def main():
     print(header)
     print("-" * len(header))
     for name, dc, rs in entries():
-        v, _, _ = classify(dc, rs)
-        shape = page1_by_shape(decompose(dc))
+        t = all_tables(dc.check())  # computed once, shared by both engines
+        v, _, _ = classify(dc, rs, t)
+        shape = page1_by_shape(decompose(dc, t))
         degen = f"{v.degeneration_page_F}/{v.degeneration_page_Fbar}"
         routes = f"{v.page1_by_definition}/{v.page1_by_dims}/{shape}"
         pure = all(v.pure.values())
         total = sum(dc.spaces.values())
         print(f"{name:<24} {total:>4} {degen:>7} {str(v.ddbar_lemma):>5} {routes:>16} {str(pure):>4}")
-        t = all_tables(dc)
         hodge = " ".join(
             f"h^{p},{q}={n}" for (p, q), n in sorted(t["dolbeault"].items())
         )

@@ -38,7 +38,6 @@ from .spectral import (
     classify,
     degeneration_page,
     hodge_pieces,
-    purity_check,
     spectral_pages,
 )
 from .zigzags import (

@@ -12,10 +12,10 @@ unknown names), 2 validation failure, 3 internal consistency failure
 exception, such as MemoryError: one `internal error: ...` line).
 
 A classify, solv or splitting report analyses its complex once
-(`_analyse`): the five tables are computed once and feed both the
-spectral engine and the certified decomposition, and the shape route
-must agree with the definition.  `selftest` runs the same analysis on
-every case and dumps the complex of any failure, InternalError included.
+(`_analyse`): validated, its five tables are computed once and handed
+to `classify` and `decompose`, and the shape route must agree with the
+definition.  `selftest` runs the same analysis on every case and dumps
+the complex of any failure, InternalError included.
 
 Output is deterministic.  `--format machine` emits only the grammar
 lines documented in reports.py; `--format text` adds '#' comments, so
@@ -59,14 +59,14 @@ from .reports import (
     verdict_lines,
 )
 from .solvable import build_C, nakamura_preset, random_solvable, validate_solv
-from .spectral import _checked_pages, _classify, _reduce, degeneration_page
+from .spectral import classify, degeneration_page, spectral_pages
 from .splitting import (
     build_splitting,
     nakamura_splitting_preset,
     validate_splitting,
 )
 from .zigzags import (
-    _decompose,
+    decompose,
     page1_by_shape,
     random_zigzag_sum,
     report_lines,
@@ -159,8 +159,8 @@ def _analyse(dc: DoubleComplex, rs=None):
     of dc, validated first: the tables are computed once and feed both
     engines, and the shape route must agree with the definition."""
     tables = all_tables(_checked(dc))
-    verdict, col_pages, row_pages = _classify(dc, rs, tables)
-    decomp = _decompose(dc, tables)
+    verdict, col_pages, row_pages = classify(dc, rs, tables)
+    decomp = decompose(dc, tables)
     verdict.page1_by_shape = page1_by_shape(decomp)
     if verdict.page1_by_shape != verdict.page1_by_definition:
         raise InternalError(
@@ -212,7 +212,7 @@ def _cmd_fss(args):
     de_rham = de_rham_table(dc)  # shared by both filtrations
     for filtration, name, label in (("col", "column", "F"), ("row", "row", "Fbar")):
         if args.filtration in (filtration, "both"):
-            pages = _checked_pages(_reduce(dc, filtration), de_rham)
+            pages = spectral_pages(dc, filtration, de_rham)
             lines += [f"# {name} filtration pages"]
             lines += page_lines(pages, filtration, args.max_page)
             lines.append(f"degeneration_{label} {degeneration_page(pages)}")
@@ -226,7 +226,7 @@ def _cmd_classify(args):
 
 def _cmd_decompose(args):
     dc, _, payload = _load_bicomplex(args.input)
-    decomp = _decompose(dc, all_tables(_checked(dc)))
+    decomp = decompose(dc, all_tables(_checked(dc)))
     return 0, provenance_lines(payload) + report_lines(decomp)
 
 

@@ -23,9 +23,10 @@ transpose with the complex, so `classify` checks that the row pages
 equal the column pages, dims and d_r ranks.
 
 `classify` checks both page lists against the five cohomology tables,
-computed once per complex (`_classify` takes them from a caller that
-has them): E_1 against the Dolbeault table (the del table, transposed,
-for the row pages) and E_infinity against de Rham.
+computed once per complex: E_1 against the Dolbeault table (the del
+table, transposed, for the row pages) and E_infinity against de Rham.
+An entry point that computes its own tables first runs `dc.check()`;
+one given them trusts that dc was validated.
 
 Hodge pieces and purity come from the same two reductions, which track
 the column operations V (de Silva-Morozov-Vejdemo-Johansson, "Dualities
@@ -75,6 +76,7 @@ class SpectralPage:
 class HodgePieces:
     dims: dict[Bidegree, int]
     filtration_dims: dict[tuple[int, int], tuple[int, int]]
+    pure: dict[int, bool]
 
 
 @dataclass
@@ -133,15 +135,19 @@ def _reduce(dc: DoubleComplex, filtration: str) -> _Reduction:
     return _Reduction(filtration, dc, cells, start, pairs, ech, cocycles)
 
 
-def spectral_pages(dc: DoubleComplex, filtration: str = "col") -> list[SpectralPage]:
+def spectral_pages(dc: DoubleComplex, filtration: str = "col",
+                   de_rham: dict | None = None) -> list[SpectralPage]:
     """All pages through the hard vanishing bound, with d_r ranks.
 
     Read off one column reduction (see the module docstring).  The page
     dims are checked against the rank recursion, page 1 against the
     Dolbeault table (resp. the del table read through the transpose) and
-    the last page against de Rham dimensions degree by degree.
+    the last page against de Rham dimensions degree by degree.  Given
+    de_rham, trusts that dc was validated; else checks dc first.
     """
-    return _checked_pages(_reduce(dc, filtration), de_rham_table(dc))
+    if de_rham is None:
+        de_rham = de_rham_table(dc.check())
+    return _checked_pages(_reduce(dc, filtration), de_rham)
 
 
 def _checked_pages(red: _Reduction, de_rham: dict, e1: dict | None = None) -> list[SpectralPage]:
@@ -222,7 +228,7 @@ def _class_matrix(red: _Reduction, ech: Echelon, place: dict[int, int],
     return Matrix(len(place), len(cocycles), entries)
 
 
-def _pieces(col: _Reduction, row: _Reduction) -> tuple[HodgePieces, dict[int, bool]]:
+def _pieces(col: _Reduction, row: _Reduction) -> HodgePieces:
     """Hodge pieces and purity from the two reductions of one complex."""
     dc = col.dc
     support = dc.bidegrees()
@@ -271,35 +277,32 @@ def _pieces(col: _Reduction, row: _Reduction) -> tuple[HodgePieces, dict[int, bo
             spans.append(span)
         total = sum(s.ncols for s in spans)
         pure[k] = total == hk and rank(hstack(spans)) == hk
-    return HodgePieces(dims, filtration_dims), pure
+    return HodgePieces(dims, filtration_dims, pure)
 
 
 def hodge_pieces(dc: DoubleComplex) -> HodgePieces:
-    """Nonzero dims of the pieces F^p H ∩ F̄^q H^{p+q}, and filtration_dims
-    (k, p) -> (dim F^p H^k, dim F̄^{k-p} H^k) for p_min <= p <= p_max + 1."""
-    return _pieces(_reduce(dc, "col"), _reduce(dc, "row"))[0]
+    """Nonzero dims of the pieces F^p H ∩ F̄^q H^{p+q}; filtration_dims
+    (k, p) -> (dim F^p H^k, dim F̄^{k-p} H^k) for p_min <= p <= p_max + 1;
+    and pure: per total degree k, whether H^k is the direct sum of its
+    pieces, i.e. carries a pure Hodge structure of weight k.  Checks dc
+    first."""
+    dc.check()
+    return _pieces(_reduce(dc, "col"), _reduce(dc, "row"))
 
 
-def purity_check(dc: DoubleComplex) -> dict[int, bool]:
-    """Per total degree k: whether H^k is the direct sum of its pieces
-    F^p H ∩ F̄^{k-p} H, i.e. carries a pure Hodge structure of weight k."""
-    return _pieces(_reduce(dc, "col"), _reduce(dc, "row"))[1]
-
-
-def classify(dc: DoubleComplex, rs=None) -> tuple[Verdict, list[SpectralPage], list[SpectralPage]]:
+def classify(dc: DoubleComplex, rs=None,
+             tables: dict | None = None) -> tuple[Verdict, list[SpectralPage], list[SpectralPage]]:
     """Verdict plus both page lists (column first).
 
     Routes: definition (degeneration pages + purity) and the dimension
     identity (Aeppli + Bott-Chern = Dolbeault + del per total degree)
     must agree or the engine is broken.  The shape route is left unset;
     the decomposition layer fills it.  With a real structure rs, the row
-    pages must equal the column pages.
+    pages must equal the column pages.  Given tables, trusts that dc was
+    validated; else checks dc first.
     """
-    return _classify(dc, rs, all_tables(dc))
-
-
-def _classify(dc: DoubleComplex, rs, tables: dict) -> tuple[Verdict, list[SpectralPage], list[SpectralPage]]:
-    """`classify` with dc's five tables already computed."""
+    if tables is None:
+        tables = all_tables(dc.check())
     col_red, row_red = _reduce(dc, "col"), _reduce(dc, "row")
     col = _checked_pages(col_red, tables["de_rham"], tables["dolbeault"])
     del_t = {(q, p): d for (p, q), d in tables["del"].items()}
@@ -308,7 +311,7 @@ def _classify(dc: DoubleComplex, rs, tables: dict) -> tuple[Verdict, list[Spectr
         raise InternalError("row pages differ from column pages despite a real structure")
     deg_f = degeneration_page(col)
     deg_fbar = degeneration_page(row)
-    _, pure = _pieces(col_red, row_red)
+    pure = _pieces(col_red, row_red).pure
     all_pure = all(pure.values())
 
     def total(names: tuple[str, str], k: int) -> int:

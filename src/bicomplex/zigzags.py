@@ -48,7 +48,7 @@ import random
 from dataclasses import dataclass
 
 from .complexes import Bidegree, DoubleComplex, all_tables, direct_sum
-from .errors import InternalError, ValidationError
+from .errors import InternalError
 from .linalg import Echelon, Matrix, _columns, _subtract, echelon, hstack, inverse, kernel, rank
 from .scalars import MINUS_ONE, ONE, sc
 
@@ -289,15 +289,11 @@ def _sort_key(shape: Shape):
     return (1, shape.start[0], shape.start[1], shape.steps)
 
 
-def decompose(dc: DoubleComplex) -> Decomposition:
-    problems = dc.validate()
-    if problems:
-        raise ValidationError("decompose on invalid complex: " + "; ".join(problems))
-    return _decompose(dc, all_tables(dc))
-
-
-def _decompose(dc: DoubleComplex, tables: dict) -> Decomposition:
-    """`decompose` on a valid dc whose five tables are already computed."""
+def decompose(dc: DoubleComplex, tables: dict | None = None) -> Decomposition:
+    """The certified square/zigzag decomposition of dc.  Given tables,
+    trusts that dc was validated; else checks dc first."""
+    if tables is None:
+        tables = all_tables(dc.check())
     act = {pq: Matrix.identity(dc.spaces[pq]) for pq in dc.spaces}
     # the active subcomplex in its own coordinates; spent spaces stay at dim 0
     cur = DoubleComplex(dict(dc.spaces), dict(dc.del_maps), dict(dc.delbar_maps))

@@ -15,7 +15,7 @@ Hodge pieces come straight from their definition too, by subspace
 algebra over Tot^k: the classes of Z^k ∩ F^p Tot^k (resp. F̄^q) are the
 subspace (Z^k ∩ F^p) + B^k, with Z^k the full kernel of d, B^k its image
 from Tot^{k-1} and F^p the span of the coordinate blocks with p' >= p.
-`bicomplex.hodge_pieces` and `purity_check`, which read the same dims off
+`bicomplex.hodge_pieces`, which reads the same dims and purity off
 the class coordinates of two persistence reductions, must agree with it.
 """
 

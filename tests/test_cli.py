@@ -23,6 +23,7 @@ from bicomplex import (
     random_zigzag_sum,
     shuffle_basis,
     spectral,
+    zigzags,
 )
 from bicomplex.cli import main
 from bicomplex.files import MAX_TOTAL_DIM
@@ -198,16 +199,15 @@ def test_fss_both_computes_de_rham_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-# the names the reports call: the engines' entry points that take the
-# known tables, with ids naming the engine
+# the names the reports call: the engines' public entry points, handed
+# the known tables
 @pytest.mark.parametrize(
     "callee, argv",
     [
         ("ce_complex", ["lie", "abelian:2"]),
-        ("_decompose", ["classify", "catalog:square"]),
-        ("_classify", ["solv", "nakamura:real"]),
+        ("decompose", ["classify", "catalog:square"]),
+        ("classify", ["solv", "nakamura:real"]),
     ],
-    ids=lambda v: v.lstrip("_") if isinstance(v, str) else None,
 )
 @pytest.mark.parametrize(
     "error",
@@ -245,6 +245,26 @@ def test_each_table_is_computed_once_per_complex(monkeypatch, capsys, argv, call
     code, _ = run_cli(capsys, [*argv, "--format", "machine"])
     assert code == 0
     assert counts == dict.fromkeys(TABLE_FUNCTIONS, calls)
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["classify", "catalog:square"], (1, 1, 0)),
+    (["solv", "nakamura:real"], (1, 1, 0)),
+    (["decompose", "catalog:wedge"], (0, 1, 0)),
+    (["fss", "catalog:square", "--filtration", "both"], (0, 0, 2)),
+])
+def test_reports_call_the_public_engines(monkeypatch, capsys, argv, calls):
+    # calls of (classify, decompose, spectral_pages): the CLI goes through
+    # the same entry points as the library, never a private twin of one
+    for name, value in vars(cli).items():
+        if getattr(value, "__module__", None) in ("bicomplex.spectral", "bicomplex.zigzags"):
+            assert not name.startswith("_") and not value.__name__.startswith("_"), name
+    spectral_calls = count_calls(monkeypatch, spectral, ("classify", "spectral_pages"))
+    zigzag_calls = count_calls(monkeypatch, zigzags, ("decompose",))
+    code, _ = run_cli(capsys, [*argv, "--format", "machine"])
+    assert code == 0
+    assert (spectral_calls["classify"], zigzag_calls["decompose"],
+            spectral_calls["spectral_pages"]) == calls
 
 
 def test_analysis_makes_no_rref_call(monkeypatch):
@@ -378,14 +398,14 @@ def test_selftest_small(capsys, tmp_path, monkeypatch):
 def test_selftest_dumps_on_an_internal_error(capsys, tmp_path, monkeypatch, real_only, name):
     # classify breaks on the first complex, or on the first solvable one
     monkeypatch.chdir(tmp_path)
-    classify = cli._classify
+    classify = cli.classify
 
     def failing(dc, rs, tables):
         if real_only and rs is None:
             return classify(dc, rs, tables)
         raise InternalError("page 1 disagrees with Dolbeault dimensions")
 
-    monkeypatch.setattr(cli, "_classify", failing)
+    monkeypatch.setattr(cli, "classify", failing)
     code, out = run_cli(capsys, ["selftest", "--seeds", "2"])
     assert code == 3
     dump = tmp_path / "selftest_counterexample_0.bicomplex"

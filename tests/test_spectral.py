@@ -5,25 +5,27 @@ import pytest
 
 from bicomplex import (
     ONE,
+    DoubleComplex,
     InternalError,
+    ValidationError,
     all_tables,
     build_C,
     build_splitting,
     catalog_complex,
     classify,
+    decompose,
     degeneration_page,
     hodge_pieces,
     invariant_bicomplex,
     lie_by_name,
     nakamura_preset,
     nakamura_splitting_preset,
-    purity_check,
     random_zigzag_sum,
     shuffle_basis,
     spectral_pages,
 )
 from bicomplex import complexes, spectral
-from conftest import staircase
+from conftest import ONE_1x1, staircase
 from spectral_oracle import oracle_pages, oracle_pieces
 
 
@@ -65,10 +67,24 @@ def test_wedge_pages_stable_but_impure():
     col = spectral_pages(dc, "col")
     assert all(pg.dims == {(1, 0): 1} for pg in col)
     assert degeneration_page(col) == 1
-    assert purity_check(dc) == {0: True, 1: False}
     hp = hodge_pieces(dc)
+    assert hp.pure == {0: True, 1: False}
     # both unit-square pieces are 1-dimensional yet H^1 is only 1-dimensional
     assert hp.dims == {(0, 1): 1, (1, 0): 1}
+
+
+def test_public_engines_refuse_an_invalid_complex():
+    # the unit square with del = delbar = 1 on all four edges: del delbar
+    # + delbar del is 2 on the corner, so no engine may answer for it
+    bad = DoubleComplex.build(
+        {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
+        {(0, 0): ONE_1x1, (0, 1): ONE_1x1},
+        {(0, 0): ONE_1x1, (1, 0): ONE_1x1},
+    )
+    assert bad.validate()
+    for engine in (classify, decompose, spectral_pages, hodge_pieces):
+        with pytest.raises(ValidationError, match="del delbar"):
+            engine(bad)
 
 
 def test_row_pages_live_in_the_transposed_lattice():
@@ -275,7 +291,7 @@ def test_real_structure_requires_row_pages_equal_to_column_pages(monkeypatch):
 def test_hodge_pieces_match_definitional_oracle(case):
     dc = ORACLE_CASES[case]()
     hp = hodge_pieces(dc)
-    assert (hp.dims, hp.filtration_dims, purity_check(dc)) == oracle_pieces(dc)
+    assert (hp.dims, hp.filtration_dims, hp.pure) == oracle_pieces(dc)
 
 
 TABLES = ("dolbeault_table", "del_table", "bott_chern_table", "aeppli_table",
