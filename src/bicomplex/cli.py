@@ -7,12 +7,18 @@ designators for built-in complexes, algebra names (`abelian:<n>`,
 `nakamura:real`).
 
 Exit codes: 0 success, 1 parse error (bad arguments, malformed files,
-unknown names), 2 validation failure, 3 internal consistency failure
-(route disagreement, a broken engine postcondition or any other
-exception, such as MemoryError: one `internal error: ...` line).
+unknown built-in names, in every verb), 2 validation failure, 3 internal
+consistency failure (route disagreement, a broken engine postcondition
+or any other exception, such as MemoryError: one `internal error: ...`
+line).
+
+The CLI validates nothing itself: the library's builders and engines
+do, and a ValidationError is printed as raised, every problem on one
+line.  `_builtin` is the one place a library error about a name becomes
+a parse error.
 
 A classify, solv or splitting report analyses its complex once
-(`_analyse`): validated, its five tables are computed once and handed
+(`_analyse`): checked, its five tables are computed once and handed
 to `classify` and `decompose`, and the shape route must agree with the
 definition.  `selftest` runs the same analysis on every case and dumps
 the complex of any failure, InternalError included.
@@ -42,12 +48,12 @@ from .files import (
     write_bicomplex,
 )
 from .lie import (
+    LIE_CATALOG,
     BettiVector,
     ce_complex,
     is_semisimple,
     lie_by_name,
     semisimple_e2_model,
-    validate_lie,
 )
 from .reports import (
     grid_comment,
@@ -58,13 +64,9 @@ from .reports import (
     space_comment,
     verdict_lines,
 )
-from .solvable import build_C, nakamura_preset, random_solvable, validate_solv
+from .solvable import build_C, nakamura_preset, random_solvable
 from .spectral import classify, degeneration_page, spectral_pages
-from .splitting import (
-    build_splitting,
-    nakamura_splitting_preset,
-    validate_splitting,
-)
+from .splitting import build_splitting, nakamura_splitting_preset
 from .zigzags import (
     decompose,
     page1_by_shape,
@@ -113,30 +115,29 @@ def _read(path: str) -> tuple[bytes, str]:
         raise ParseError(f"{path} is not UTF-8: {e.reason} at byte {e.start}") from None
 
 
+def _builtin(make, name: str, what: str):
+    """make(name), where the library refuses a name it does not know with
+    KeyError or ValidationError: a parse error, `unknown {what}`."""
+    try:
+        return make(name)
+    except (KeyError, ValidationError):
+        raise ParseError(f"unknown {what}") from None
+
+
 def _load_bicomplex(spec: str):
     """Returns (complex, real structure or None, provenance payload)."""
     if spec.startswith("catalog:"):
         name = spec[len("catalog:") :]
-        try:
-            dc, rs = catalog_complex(name)
-        except (KeyError, ValidationError):
-            known = ", ".join(catalog_names())
-            raise ParseError(f"unknown catalog entry {name!r} (have: {known})")
+        known = ", ".join(catalog_names())
+        dc, rs = _builtin(catalog_complex, name, f"catalog entry {name!r} (have: {known})")
         return dc, rs, spec.encode()
     data, text = _read(spec)
     return parse_bicomplex(text), None, data
 
 
-def _checked(dc: DoubleComplex) -> DoubleComplex:
-    problems = dc.validate()
-    if problems:
-        raise ValidationError(problems[0])
-    return dc
-
-
 def _load_lie(spec: str):
-    if spec.startswith("abelian:") or spec in ("heisenberg3", "sl2"):
-        return lie_by_name(spec), spec.encode()
+    if spec.startswith("abelian:") or spec in LIE_CATALOG:
+        return _builtin(lie_by_name, spec, f"algebra {spec!r}"), spec.encode()
     data, text = _read(spec)
     return parse_lie(text), data
 
@@ -158,7 +159,7 @@ def _analyse(dc: DoubleComplex, rs=None):
     """The tables, the verdict with both page lists and the decomposition
     of dc, validated first: the tables are computed once and feed both
     engines, and the shape route must agree with the definition."""
-    tables = all_tables(_checked(dc))
+    tables = all_tables(dc.check())
     verdict, col_pages, row_pages = classify(dc, rs, tables)
     decomp = decompose(dc, tables)
     verdict.page1_by_shape = page1_by_shape(decomp)
@@ -201,13 +202,13 @@ def _cmd_validate(args):
 
 def _cmd_cohomology(args):
     dc, _, payload = _load_bicomplex(args.input)
-    tables = all_tables(_checked(dc))
+    tables = all_tables(dc.check())
     return 0, provenance_lines(payload) + _h_section(dc, tables)
 
 
 def _cmd_fss(args):
     dc, _, payload = _load_bicomplex(args.input)
-    _checked(dc)
+    dc.check()
     lines = provenance_lines(payload)
     de_rham = de_rham_table(dc)  # shared by both filtrations
     for filtration, name, label in (("col", "column", "F"), ("row", "row", "Fbar")):
@@ -226,15 +227,12 @@ def _cmd_classify(args):
 
 def _cmd_decompose(args):
     dc, _, payload = _load_bicomplex(args.input)
-    decomp = decompose(dc, all_tables(_checked(dc)))
+    decomp = decompose(dc, all_tables(dc.check()))
     return 0, provenance_lines(payload) + report_lines(decomp)
 
 
 def _cmd_lie(args):
     g, payload = _load_lie(args.input)
-    problems = validate_lie(g)
-    if problems:
-        raise ValidationError(problems[0])
     lines = provenance_lines(payload)
     lines.append(f"dim {g.dim}")
     for k, d in sorted(ce_complex(g).cohomology().items()):
@@ -243,42 +241,28 @@ def _cmd_lie(args):
     return 0, lines
 
 
-def _solv_like(args, presets, parse, validate, build):
+def _solv_like(args, presets, parse, build):
     spec = args.input
     if spec.startswith("nakamura:"):
-        case = spec.split(":", 1)[1]
-        if case not in ("identically", "real"):
-            raise ParseError(f"unknown preset {spec!r}")
-        data, payload = presets(case), spec.encode()
+        data = _builtin(presets, spec.split(":", 1)[1], f"preset {spec!r}")
+        payload = spec.encode()
     else:
         payload, text = _read(spec)
         data = parse(text)
-    problems = validate(data)
-    if problems:
-        raise ValidationError(problems[0])
     dc, rs = build(data)
     return 0, _classify_report(dc, rs, payload, args.max_page)
 
 
 def _cmd_solv(args):
-    return _solv_like(args, nakamura_preset, parse_solv, validate_solv, build_C)
+    return _solv_like(args, nakamura_preset, parse_solv, build_C)
 
 
 def _cmd_splitting(args):
-    return _solv_like(
-        args,
-        nakamura_splitting_preset,
-        parse_splitting,
-        validate_splitting,
-        build_splitting,
-    )
+    return _solv_like(args, nakamura_splitting_preset, parse_splitting, build_splitting)
 
 
 def _cmd_ssmodel(args):
     g, payload = _load_lie(args.algebra)
-    problems = validate_lie(g)
-    if problems:
-        raise ValidationError(problems[0])
     try:
         numbers = tuple(int(t) for t in args.betti.split(","))
     except ValueError:

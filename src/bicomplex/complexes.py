@@ -211,26 +211,31 @@ def del_table(dc: DoubleComplex) -> dict[Bidegree, int]:
     )
 
 
-def bott_chern_table(dc: DoubleComplex) -> dict[Bidegree, int]:
-    """ker del  intersect  ker delbar, modulo the image of del delbar."""
-    out = {}
+def _bott_chern_aeppli(dc: DoubleComplex) -> tuple[dict[Bidegree, int], dict[Bidegree, int]]:
+    """The Bott-Chern and Aeppli tables, ranking del delbar out of each
+    (p, q) once: Aeppli's kernel at (p, q) and Bott-Chern's image at
+    (p + 1, q + 1)."""
+    dd = {
+        (p, q): rank(dc.del_map(p, q + 1) @ dc.delbar_map(p, q))
+        for (p, q) in dc.bidegrees()
+    }
+    bc, a = {}, {}
     for (p, q) in dc.bidegrees():
         both = vstack([dc.del_map(p, q), dc.delbar_map(p, q)])
-        numerator = both.ncols - rank(both)
-        dd = dc.del_map(p - 1, q) @ dc.delbar_map(p - 1, q - 1)
-        out[(p, q)] = numerator - rank(dd)
-    return _drop_zeros(out)
+        bc[(p, q)] = both.ncols - rank(both) - dd.get((p - 1, q - 1), 0)
+        into = hstack([dc.del_map(p - 1, q), dc.delbar_map(p, q - 1)])
+        a[(p, q)] = dc.dim(p, q) - dd[(p, q)] - rank(into)
+    return _drop_zeros(bc), _drop_zeros(a)
+
+
+def bott_chern_table(dc: DoubleComplex) -> dict[Bidegree, int]:
+    """ker del  intersect  ker delbar, modulo the image of del delbar."""
+    return _bott_chern_aeppli(dc)[0]
 
 
 def aeppli_table(dc: DoubleComplex) -> dict[Bidegree, int]:
     """ker(del delbar) out of (p, q), modulo im del + im delbar."""
-    out = {}
-    for (p, q) in dc.bidegrees():
-        dd = dc.del_map(p, q + 1) @ dc.delbar_map(p, q)
-        numerator = dd.ncols - rank(dd)
-        into = hstack([dc.del_map(p - 1, q), dc.delbar_map(p, q - 1)])
-        out[(p, q)] = numerator - rank(into)
-    return _drop_zeros(out)
+    return _bott_chern_aeppli(dc)[1]
 
 
 # -- total complex -------------------------------------------------------------
@@ -299,11 +304,12 @@ def de_rham_table(dc: DoubleComplex) -> dict[int, int]:
 
 
 def all_tables(dc: DoubleComplex) -> dict[str, dict]:
+    bott_chern, aeppli = _bott_chern_aeppli(dc)
     return {
         "dolbeault": dolbeault_table(dc),
         "del": del_table(dc),
-        "bott_chern": bott_chern_table(dc),
-        "aeppli": aeppli_table(dc),
+        "bott_chern": bott_chern,
+        "aeppli": aeppli,
         "de_rham": de_rham_table(dc),
     }
 

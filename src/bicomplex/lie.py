@@ -31,9 +31,8 @@ from .exterior import (
     exterior_complex,
     grade_basis,
 )
-from .linalg import Matrix, hstack, kernel, rank, solve_right
+from .linalg import Matrix, echelon, hstack, kernel, rank, vstack
 from .scalars import ONE, Scalar, ZERO, sc
-from .subspaces import Subspace
 
 
 @dataclass
@@ -116,16 +115,15 @@ def series_terminates(g: LieAlgebra, derived: bool) -> bool:
     term and x in it too (derived) or in g (lower central); a term that
     does not shrink means the series never reaches zero.
     """
-    current = Subspace.full(g.dim)
-    while current.dim > 0:
-        b = current.basis
+    b = Matrix.identity(g.dim)
+    while b.ncols > 0:
         a = b if derived else Matrix.identity(g.dim)
-        cols = [g.bracket_vectors(a.column(i), b.column(j))
-                for i in range(a.ncols) for j in range(b.ncols)]
-        nxt = Subspace.from_columns(g.dim, hstack(cols))
-        if nxt.dim >= current.dim:
+        cols = hstack([g.bracket_vectors(a.column(i), b.column(j))
+                       for i in range(a.ncols) for j in range(b.ncols)])
+        nxt = cols.columns(sorted(echelon(cols)[1]))
+        if nxt.ncols >= b.ncols:
             return False
-        current = nxt
+        b = nxt
     return True
 
 
@@ -197,11 +195,10 @@ def validate_subalgebra(g: LieAlgebra, incl: Matrix) -> list[str]:
     if rank(incl) != m:
         problems.append("structure: generators are dependent")
         return problems
-    span = Subspace.from_columns(g.dim, incl)
     for a in range(m):
         for b in range(a + 1, m):
             v = g.bracket_vectors(incl.column(a), incl.column(b))
-            if not span.contains_vector(v):
+            if rank(hstack([incl, v])) != m:
                 problems.append(f"axiom: bracket of generators {a} and {b} leaves the span")
     return problems
 
@@ -210,8 +207,9 @@ def relative_ce_cohomology(g: LieAlgebra, incl: Matrix) -> dict[int, int]:
     """Cohomology of the k-basic forms on g (k given by inclusion columns).
 
     The degree-p space is the set of p-forms annihilated by contraction
-    with every generator of k and by the corresponding Lie derivatives;
-    the differential is the restriction of the CE differential.
+    with every generator of k and by the corresponding Lie derivatives:
+    one `kernel`, whose columns are each 1 at their low and 0 at the
+    others' lows.  So the restricted CE differential is read off those rows.
     """
     problems = validate_lie(g)
     if problems:
@@ -226,27 +224,26 @@ def relative_ce_cohomology(g: LieAlgebra, incl: Matrix) -> dict[int, int]:
         {i + 1: incl.get(i, b) for i in range(n) if incl.get(i, b)}
         for b in range(incl.ncols)
     ]
-    basic: dict[int, Subspace] = {}
+    basic: dict[int, Matrix] = {}
     for p in range(n + 1):
-        sub = Subspace.full(comb(n, p))
+        rows = [Matrix.zero(0, comb(n, p))]  # no condition: every p-form
         for x in gens:
-            iota = contraction_matrix(n, x, p)
-            sub = sub.intersect(Subspace.from_columns(iota.ncols, kernel(iota)))
             lx = contraction_matrix(n, x, p + 1) @ d[p]
             if p >= 1:
                 lx = lx + d[p - 1] @ contraction_matrix(n, x, p)
-            sub = sub.intersect(Subspace.from_columns(lx.ncols, kernel(lx)))
-        basic[p] = sub
-    spaces = {p: basic[p].dim for p in basic}
+            rows += [contraction_matrix(n, x, p), lx]
+        basic[p] = kernel(vstack(rows))
+    spaces = {p: basic[p].ncols for p in basic}
     maps: dict[int, Matrix] = {}
     for p in range(n):
-        img = d[p] @ basic[p].basis
+        img = d[p] @ basic[p]
         if img.is_zero:
             continue
-        coeffs = (
-            solve_right(basic[p + 1].basis, img) if basic[p + 1].dim else None
-        )
-        if coeffs is None:
+        lows = [0] * basic[p + 1].ncols
+        for r, c in basic[p + 1].entries:
+            lows[c] = max(lows[c], r)
+        coeffs = img.rows(lows)
+        if basic[p + 1] @ coeffs != img:
             raise InternalError(f"CE differential leaves the basic forms at degree {p}")
         maps[p] = coeffs
     return SimpleComplex.build(spaces, maps).check().cohomology()

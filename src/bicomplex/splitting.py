@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import DoubleComplex, RealStructure, labeled_tensor_sum
-from .errors import InternalError, ValidationError
+from .errors import ValidationError
 from .exterior import exterior_complex, grade_basis
 from .lie import LieAlgebra, series_terminates, validate_lie
 from .scalars import ONE, ZERO, sc
@@ -39,9 +39,6 @@ class Character:
 
     hol: Key
     antihol: Key
-
-    def is_unitary(self) -> bool:
-        return self.antihol == tuple(-c.conjugate() for c in self.hol)
 
 
 @dataclass
@@ -164,13 +161,6 @@ def build_splitting(sp: SplittingData) -> tuple[DoubleComplex, RealStructure]:
         raise ValidationError("; ".join(problems))
     n, m = sp.n_abelian, sp.nilp.dim
     total = n + m
-
-    for j in range(1, m + 1):
-        hj, kj = _aggregate(sp, (j,))
-        beta = Character(tuple(-c.conjugate() for c in kj), kj)
-        gamma = Character(tuple(-c for c in hj), tuple(c.conjugate() for c in hj))
-        if not beta.is_unitary() or not gamma.is_unitary():
-            raise InternalError(f"computed correction characters not unitary at {j}")
 
     ysubsets = [s for p in range(m + 1) for s in grade_basis(m, p)]
     cid_of = {s: _aggregate(sp, s) for s in ysubsets}

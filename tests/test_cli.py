@@ -10,8 +10,10 @@ import pytest
 
 import bicomplex
 from bicomplex import (
+    DoubleComplex,
     InternalError,
     ONE,
+    ValidationError,
     build_C,
     catalog_complex,
     catalog_names,
@@ -23,11 +25,12 @@ from bicomplex import (
     random_zigzag_sum,
     shuffle_basis,
     spectral,
+    write_bicomplex,
     zigzags,
 )
 from bicomplex.cli import main
 from bicomplex.files import MAX_TOTAL_DIM
-from conftest import count_calls, run_cli, run_cli_err
+from conftest import ONE_1x1, count_calls, run_cli, run_cli_err
 
 WEDGE_CLASSIFY = """\
 tool_version 0.1.0
@@ -124,6 +127,40 @@ def test_parse_failures_exit_1(capsys, tmp_path):
     assert code == 1 and err.startswith("parse error: line 1")
     code, _ = run_cli(capsys, ["cohomology", str(tmp_path / "missing.bicomplex")])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "catalog:nope"],
+        ["classify", "catalog:abelian:9-invariant"],
+        ["lie", "abelian:9"],
+        ["lie", "abelian:x"],
+        ["ssmodel", "--algebra", "abelian:9", "--betti", "1"],
+        ["solv", "nakamura:foo"],
+        ["splitting", "nakamura:foo"],
+    ],
+    ids=" ".join,
+)
+def test_unknown_builtin_names_exit_1(capsys, argv):
+    code = main(argv + ["--format", "machine"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("parse error: unknown ") and err.count("\n") == 1
+
+
+def test_validation_error_is_the_library_message(capsys, tmp_path):
+    # a del chain with every map 1 breaks del^2 = 0 at (0,0) and at (1,0)
+    chain = DoubleComplex.build(
+        {(p, 0): 1 for p in range(4)}, {(p, 0): ONE_1x1 for p in range(3)}
+    )
+    with pytest.raises(ValidationError) as raised:
+        bicomplex.classify(chain)
+    assert "(0,0)" in str(raised.value) and "(1,0)" in str(raised.value)
+    f = tmp_path / "chain.bicomplex"
+    f.write_text(write_bicomplex(chain))
+    code = main(["classify", str(f), "--format", "machine"])
+    assert (code, *capsys.readouterr()) == (2, "", f"validation error: {raised.value}\n")
 
 
 @pytest.mark.parametrize(
@@ -229,8 +266,8 @@ def test_other_exceptions_exit_3_with_one_line(monkeypatch, capsys, callee, argv
     assert err == f"internal error: {type(error).__name__}: {error}\n"
 
 
-TABLE_FUNCTIONS = ("dolbeault_table", "del_table", "bott_chern_table",
-                   "aeppli_table", "de_rham_table")
+# Bott-Chern and Aeppli share one pass, which ranks each del delbar once
+TABLE_FUNCTIONS = ("dolbeault_table", "del_table", "_bott_chern_aeppli", "de_rham_table")
 
 
 @pytest.mark.parametrize("argv, calls", [
@@ -268,12 +305,11 @@ def test_reports_call_the_public_engines(monkeypatch, capsys, argv, calls):
 
 
 def test_analysis_makes_no_rref_call(monkeypatch):
-    # every rank, kernel and pivot set of both engines comes from
-    # linalg.echelon; building solvable data checks it with Subspace,
-    # which still reduces by rref, so the complexes are built first
+    # every rank, kernel and pivot set of the builders, their validators
+    # and both engines comes from linalg.echelon
+    calls = count_calls(monkeypatch, linalg, ("rref",))
     inputs = [catalog_complex(name) for name in catalog_names()]
     inputs += [build_C(random_solvable(seed)) for seed in range(4)]
-    calls = count_calls(monkeypatch, linalg, ("rref",))
     for dc, rs in inputs:
         cli._analyse(dc, rs)
     assert not calls

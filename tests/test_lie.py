@@ -20,6 +20,10 @@ from bicomplex import (
     is_semisimple,
     killing_form,
     lie_by_name,
+    linalg,
+    nakamura_preset,
+    nakamura_splitting_preset,
+    random_solvable,
     rank,
     realified_sl2,
     relative_ce_cohomology,
@@ -29,9 +33,11 @@ from bicomplex import (
     su2_subalgebra,
     theoremB_verdict,
     validate_lie,
+    validate_solv,
+    validate_splitting,
 )
-from bicomplex.lie import realify, validate_subalgebra
-from conftest import run_cli
+from bicomplex.lie import realify, series_terminates, validate_subalgebra
+from conftest import count_calls, run_cli
 
 
 def test_validate_lie_catches_jacobi_failure():
@@ -164,6 +170,28 @@ def test_theoremB_verdict():
         assert not theoremB_verdict(g, incl, BettiVector((1, r, r, 1)))
     with pytest.raises(ValidationError):
         theoremB_verdict(heisenberg3(), Matrix.zero(3, 0), BettiVector((1, 0, 0, 1)))
+
+
+@pytest.mark.parametrize(
+    "g, solvable, nilpotent",
+    [(sl2(), False, False), (heisenberg3(), True, True),
+     (nakamura_preset("real").algebra, True, False)],
+    ids=["sl2", "heisenberg3", "nakamura"],
+)
+def test_series_terminates(g, solvable, nilpotent):
+    assert series_terminates(g, derived=True) == solvable
+    assert series_terminates(g, derived=False) == nilpotent
+
+
+def test_lie_checks_make_no_reduced_form(monkeypatch):
+    # series, closure and basic forms are read off linalg.echelon
+    calls = count_calls(monkeypatch, linalg, ("rref", "rcef", "solve_right", "inverse"))
+    for seed in range(10):
+        assert validate_solv(random_solvable(seed)) == []
+    for case in ("identically", "real"):
+        assert validate_splitting(nakamura_splitting_preset(case)) == []
+    assert theoremB_verdict(realified_sl2(), su2_subalgebra(), BettiVector((1, 0, 0, 1)))
+    assert not calls
 
 
 def test_lie_by_name():

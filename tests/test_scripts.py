@@ -35,4 +35,8 @@ def test_run_catalog():
 
 def test_sl2_betti_scan():
     out = run_script("sl2_betti_scan.py")
-    assert "(1, 0, 0, 1)   True" in out
+    # the betti and verdict columns of every row below the header: only
+    # (1, 0, 0, 1) passes, as the script's docstring says
+    verdicts = {row[:14].rstrip(): row[15:22].rstrip() for row in out.splitlines()[1:]}
+    assert len(verdicts) == 16 and set(verdicts.values()) == {"True", "False"}
+    assert [b for b, v in verdicts.items() if v == "True"] == ["(1, 0, 0, 1)"]
