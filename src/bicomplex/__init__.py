@@ -49,6 +49,7 @@ from .zigzags import (
     random_page1_complex,
     random_zigzag_sum,
     report_lines,
+    shape_tables,
     shuffle_basis,
 )
 from .lie import (

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InternalError, ValidationError
-from .linalg import Matrix, hstack, kron, rank, vstack
+from .linalg import Column, Matrix, _columns, _combine, kron, rank, rank_columns
 from .scalars import MINUS_ONE, ONE
 
 Bidegree = tuple[int, int]
@@ -185,13 +185,13 @@ def _drop_zeros(table: dict) -> dict:
     return {k: v for k, v in sorted(table.items()) if v}
 
 
-def _cohomology(spaces: dict, out_map, prev) -> dict:
+def _cohomology(spaces: dict, out_rank, prev) -> dict:
     """dim ker(out) - rank(in) at every index, zero entries omitted.
 
-    out_map(i) is the map leaving index i and prev(i) the index whose
-    outgoing map enters i; each map is ranked once.
+    out_rank(i) is the rank of the map leaving index i and prev(i) the
+    index whose outgoing map enters i; each map is ranked once.
     """
-    ranks = {i: rank(out_map(i)) for i in spaces}
+    ranks = {i: out_rank(i) for i in spaces}
     return _drop_zeros(
         {i: d - ranks[i] - ranks.get(prev(i), 0) for i, d in spaces.items()}
     )
@@ -200,31 +200,51 @@ def _cohomology(spaces: dict, out_map, prev) -> dict:
 def dolbeault_table(dc: DoubleComplex) -> dict[Bidegree, int]:
     """dim H^{p,q} of the delbar direction, zero entries omitted."""
     return _cohomology(
-        dc.spaces, lambda pq: dc.delbar_map(*pq), lambda pq: (pq[0], pq[1] - 1)
+        dc.spaces, lambda pq: rank(dc.delbar_map(*pq)), lambda pq: (pq[0], pq[1] - 1)
     )
 
 
 def del_table(dc: DoubleComplex) -> dict[Bidegree, int]:
     """dim H^{p,q} of the del direction, zero entries omitted."""
     return _cohomology(
-        dc.spaces, lambda pq: dc.del_map(*pq), lambda pq: (pq[0] - 1, pq[1])
+        dc.spaces, lambda pq: rank(dc.del_map(*pq)), lambda pq: (pq[0] - 1, pq[1])
     )
+
+
+def _map_columns(maps: dict[Bidegree, Matrix]) -> dict[Bidegree, list[Column]]:
+    """Each nonzero map's sparse columns; a zero map has none."""
+    return {pq: _columns(m) for pq, m in maps.items() if m.entries}
+
+
+def _stacked(top: list[Column] | None, top_row: int,
+             bottom: list[Column] | None, bottom_row: int) -> list[Column]:
+    """Fresh columns of two maps out of one space, stacked: top's rows from
+    top_row on, bottom's from bottom_row.  An absent map adds no rows."""
+    if top is None:
+        return [] if bottom is None else [{bottom_row + r: v for r, v in c.items()} for c in bottom]
+    cols = [{top_row + r: v for r, v in c.items()} for c in top]
+    for col, c in zip(cols, bottom or ()):
+        for r, v in c.items():
+            col[bottom_row + r] = v
+    return cols
 
 
 def _bott_chern_aeppli(dc: DoubleComplex) -> tuple[dict[Bidegree, int], dict[Bidegree, int]]:
     """The Bott-Chern and Aeppli tables, ranking del delbar out of each
     (p, q) once: Aeppli's kernel at (p, q) and Bott-Chern's image at
-    (p + 1, q + 1)."""
-    dd = {
-        (p, q): rank(dc.del_map(p, q + 1) @ dc.delbar_map(p, q))
-        for (p, q) in dc.bidegrees()
-    }
+    (p + 1, q + 1).  Every map's columns are read once."""
+    dels, delbars = _map_columns(dc.del_maps), _map_columns(dc.delbar_maps)
+    dd = {}
+    for (p, q), cols in delbars.items():
+        if (p, q + 1) in dels:
+            after = dels[(p, q + 1)]
+            dd[(p, q)] = rank_columns([_combine(after, c) for c in cols])
     bc, a = {}, {}
-    for (p, q) in dc.bidegrees():
-        both = vstack([dc.del_map(p, q), dc.delbar_map(p, q)])
-        bc[(p, q)] = both.ncols - rank(both) - dd.get((p - 1, q - 1), 0)
-        into = hstack([dc.del_map(p - 1, q), dc.delbar_map(p, q - 1)])
-        a[(p, q)] = dc.dim(p, q) - dd[(p, q)] - rank(into)
+    for (p, q), n in dc.spaces.items():
+        both = _stacked(dels.get((p, q)), 0, delbars.get((p, q)), dc.dim(p + 1, q))
+        bc[(p, q)] = n - rank_columns(both) - dd.get((p - 1, q - 1), 0)
+        into = [dict(c) for c in (*dels.get((p - 1, q), ()), *delbars.get((p, q - 1), ()))]
+        a[(p, q)] = n - dd.get((p, q), 0) - rank_columns(into)
     return _drop_zeros(bc), _drop_zeros(a)
 
 
@@ -299,8 +319,19 @@ class TotalComplex:
 
 
 def de_rham_table(dc: DoubleComplex) -> dict[int, int]:
+    """dim H^k of Tot, each d_k ranked from the columns of the del and
+    delbar maps out of degree k, placed at Tot's offsets."""
     tot = TotalComplex.of(dc)
-    return _cohomology(tot.dims, tot.d, lambda k: k - 1)
+    dels, delbars = _map_columns(dc.del_maps), _map_columns(dc.delbar_maps)
+
+    def d_rank(k: int) -> int:
+        cols = []
+        for (p, q) in tot.parts[k]:
+            cols += _stacked(dels.get((p, q)), tot.offsets.get((p + 1, q), 0),
+                             delbars.get((p, q)), tot.offsets.get((p, q + 1), 0))
+        return rank_columns(cols)
+
+    return _cohomology(tot.dims, d_rank, lambda k: k - 1)
 
 
 def all_tables(dc: DoubleComplex) -> dict[str, dict]:
@@ -368,7 +399,7 @@ class SimpleComplex:
         return self
 
     def cohomology(self) -> dict[int, int]:
-        return _cohomology(self.spaces, self.map, lambda p: p - 1)
+        return _cohomology(self.spaces, lambda p: rank(self.map(p)), lambda p: p - 1)
 
     def conjugate(self) -> SimpleComplex:
         return SimpleComplex(

@@ -8,6 +8,12 @@ added left to right.  `rref` (leftmost pivot column, then smallest row)
 serves reduced forms only: `solve_right`, `inverse` and `rcef`, i.e.
 `Subspace`.  Both find the same pivot columns, those outside the span
 of the columns before them.  Every result is deterministic.
+
+`Matrix(...)` validates its entries; a matrix this module derives from
+valid ones (a product, sum, stack, slice, transpose, kernel ...) is
+canonical by construction and is built by `_canonical`, unchecked.
+Products and column updates whose scalars all have d = 1 run on the
+Gaussian integers inside `Scalar` and build one `Scalar` per result.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, Scalar, sc
+from .scalars import ONE, ZERO, Scalar, _raw, sc
 
 Entry = tuple[int, int]
 
@@ -45,11 +51,11 @@ class Matrix:
 
     @staticmethod
     def zero(nrows: int, ncols: int) -> Matrix:
-        return Matrix(nrows, ncols, {})
+        return _canonical(nrows, ncols, {})
 
     @staticmethod
     def identity(n: int) -> Matrix:
-        return Matrix(n, n, {(i, i): ONE for i in range(n)})
+        return _canonical(n, n, {(i, i): ONE for i in range(n)})
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[object]]) -> Matrix:
@@ -88,14 +94,14 @@ class Matrix:
         entries = {
             (r, pos[c]): v for (r, c), v in self.entries.items() if c in pos
         }
-        return Matrix(self.nrows, len(js), entries)
+        return _canonical(self.nrows, len(js), entries)
 
     def rows(self, rs: Sequence[int]) -> Matrix:
         pos = {r: k for k, r in enumerate(rs)}
         entries = {
             (pos[r], c): v for (r, c), v in self.entries.items() if r in pos
         }
-        return Matrix(len(rs), self.ncols, entries)
+        return _canonical(len(rs), self.ncols, entries)
 
     @property
     def is_zero(self) -> bool:
@@ -113,45 +119,52 @@ class Matrix:
                 out[k] = nv
             else:
                 out.pop(k, None)
-        return Matrix(self.nrows, self.ncols, out)
+        return _canonical(self.nrows, self.ncols, out)
 
     def __sub__(self, other: Matrix) -> Matrix:
         return self + (-other)
 
     def __neg__(self) -> Matrix:
-        return Matrix(self.nrows, self.ncols, {k: -v for k, v in self.entries.items()})
+        return _canonical(self.nrows, self.ncols, {k: -v for k, v in self.entries.items()})
 
     def scale(self, s: Scalar) -> Matrix:
         if not s:
             return Matrix.zero(self.nrows, self.ncols)
-        return Matrix(
+        return _canonical(
             self.nrows, self.ncols, {k: s * v for k, v in self.entries.items()}
         )
 
     def __matmul__(self, other: Matrix) -> Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
+        if not (self.entries and other.entries):
+            return _canonical(self.nrows, other.ncols, {})
         by_row: dict[int, list[tuple[int, Scalar]]] = {}
+        integral = True
         for (r, c), v in other.entries.items():
             by_row.setdefault(r, []).append((c, v))
-        out: dict[Entry, Scalar] = {}
-        for (r, k), va in self.entries.items():
-            for c, vb in by_row.get(k, ()):
-                key = (r, c)
-                nv = out.get(key, ZERO) + va * vb
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
-        return Matrix(self.nrows, other.ncols, out)
+            if v.d != 1:
+                integral = False
+        out = _product_integral(self.entries, by_row) if integral else None
+        if out is None:
+            out = {}
+            for (r, k), va in self.entries.items():
+                for c, vb in by_row.get(k, ()):
+                    key = (r, c)
+                    nv = out.get(key, ZERO) + va * vb
+                    if nv:
+                        out[key] = nv
+                    else:
+                        out.pop(key, None)
+        return _canonical(self.nrows, other.ncols, out)
 
     def transpose(self) -> Matrix:
-        return Matrix(
+        return _canonical(
             self.ncols, self.nrows, {(c, r): v for (r, c), v in self.entries.items()}
         )
 
     def conjugate(self) -> Matrix:
-        return Matrix(
+        return _canonical(
             self.nrows,
             self.ncols,
             {k: v.conjugate() for k, v in self.entries.items()},
@@ -160,6 +173,42 @@ class Matrix:
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         rows = self.to_rows()
         return "\n".join("[" + "  ".join(str(v) for v in row) + "]" for row in rows)
+
+
+_new = object.__new__
+
+
+def _canonical(nrows: int, ncols: int, entries: dict[Entry, Scalar]) -> Matrix:
+    """A Matrix of entries that are nonzero and in range by construction,
+    built without the validation of `Matrix(...)`."""
+    m = _new(Matrix)
+    m.nrows, m.ncols, m.entries = nrows, ncols, entries
+    return m
+
+
+def _product_integral(
+    entries: dict[Entry, Scalar], by_row: dict[int, list[tuple[int, Scalar]]]
+) -> dict[Entry, Scalar] | None:
+    """The entries of a product, left factor's entries times the right
+    factor's rows, when both are Gaussian integers (d = 1): summed on the
+    ints, one Scalar per nonzero result.  None if a left entry has d != 1."""
+    acc: dict[Entry, list[int]] = {}
+    for (r, k), va in entries.items():
+        row = by_row.get(k)
+        if row is None:
+            continue
+        if va.d != 1:
+            return None
+        x, y = va.a, va.b
+        for c, vb in row:
+            u, w = vb.a, vb.b
+            s = acc.get((r, c))
+            if s is None:
+                acc[(r, c)] = [x * u - y * w, x * w + y * u]
+            else:
+                s[0] += x * u - y * w
+                s[1] += x * w + y * u
+    return {key: _raw(re, im, 1) for key, (re, im) in acc.items() if re or im}
 
 
 def hstack(mats: Iterable[Matrix]) -> Matrix:
@@ -175,7 +224,7 @@ def hstack(mats: Iterable[Matrix]) -> Matrix:
         for (r, c), v in m.entries.items():
             entries[(r, c + off)] = v
         off += m.ncols
-    return Matrix(nrows, off, entries)
+    return _canonical(nrows, off, entries)
 
 
 def vstack(mats: Iterable[Matrix]) -> Matrix:
@@ -191,7 +240,7 @@ def vstack(mats: Iterable[Matrix]) -> Matrix:
         for (r, c), v in m.entries.items():
             entries[(r + off, c)] = v
         off += m.nrows
-    return Matrix(off, ncols, entries)
+    return _canonical(off, ncols, entries)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -200,7 +249,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     for (ra, ca), va in a.entries.items():
         for (rb, cb), vb in b.entries.items():
             entries[(ra * b.nrows + rb, ca * b.ncols + cb)] = va * vb
-    return Matrix(a.nrows * b.nrows, a.ncols * b.ncols, entries)
+    return _canonical(a.nrows * b.nrows, a.ncols * b.ncols, entries)
 
 
 # -- elimination -----------------------------------------------------------
@@ -291,13 +340,47 @@ Column = dict[int, Scalar]  # row -> nonzero entry
 
 
 def _subtract(col: Column, f: Scalar, other: Column) -> None:
-    """col -= f * other, in place."""
+    """col -= f * other, in place, for f != 0.  Where f, the entry of other
+    and the entry of col it meets all have d = 1, the new entry is worked
+    out on the ints and built once."""
+    if f.d != 1:
+        for i, v in other.items():
+            nv = col.get(i, ZERO) - f * v
+            if nv:
+                col[i] = nv
+            else:
+                del col[i]
+        return
+    fa, fb = f.a, f.b
     for i, v in other.items():
-        nv = col.get(i, ZERO) - f * v
-        if nv:
-            col[i] = nv
+        c = col.get(i, ZERO)
+        if c.d == 1 == v.d:
+            va, vb = v.a, v.b
+            a, b = c.a - fa * va + fb * vb, c.b - fa * vb - fb * va
+            if a or b:
+                col[i] = _raw(a, b, 1)
+            else:
+                del col[i]
         else:
-            del col[i]
+            nv = c - f * v
+            if nv:
+                col[i] = nv
+            else:
+                del col[i]
+
+
+def _combine(cols: Sequence[Column], v: Column) -> Column:
+    """The sum of v[j] * cols[j]: a matrix, given by its columns, applied to v."""
+    out: Column = {}
+    for j, x in v.items():
+        _subtract(out, -x, cols[j])
+    return out
+
+
+def _apply(cols: Sequence[Column], nrows: int, v: Matrix) -> Matrix:
+    """m @ v for a column vector v and an nrows-row m given by its columns."""
+    out = _combine(cols, {r: x for (r, _), x in v.entries.items()})
+    return _canonical(nrows, 1, {(i, 0): x for i, x in out.items()})
 
 
 @dataclass
@@ -356,7 +439,7 @@ def echelon(m: Matrix) -> tuple[Echelon, dict[int, int], Matrix]:
         else:
             lows[j] = low
     entries = {(i, c): v for c, ops in enumerate(free) for i, v in ops.items()}
-    return ech, lows, Matrix(m.ncols, len(free), entries)
+    return ech, lows, _canonical(m.ncols, len(free), entries)
 
 
 def kernel(m: Matrix) -> Matrix:
@@ -365,5 +448,10 @@ def kernel(m: Matrix) -> Matrix:
 
 
 def rank(m: Matrix) -> int:
+    return rank_columns(_columns(m)) if m.entries else 0
+
+
+def rank_columns(cols: Iterable[Column]) -> int:
+    """The rank of the span of sparse columns, which it reduces in place."""
     ech = Echelon()  # no ops: a bare rank
-    return sum(ech.add(col, {}) is not None for col in _columns(m))
+    return sum(ech.add(col, {}) is not None for col in cols)

@@ -38,18 +38,32 @@ the open hits.  The rows that are no low complement the target's ends.
 Nothing here is trusted: the change of basis C must be square of full
 rank at every bidegree and carry the block model, the direct sum of the
 parts' own complexes, onto the input literally (d C = C d_model, so
-C^-1 d C is the model without forming C^-1); the model's five tables
+C^-1 d C is the model without forming C^-1).  Independently, the five
+tables that the shapes give by Stelzig's local rules (`shape_tables`)
 must match the input's.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .complexes import Bidegree, DoubleComplex, all_tables, direct_sum
 from .errors import InternalError
-from .linalg import Echelon, Matrix, _columns, _subtract, echelon, hstack, inverse, kernel, rank
+from .linalg import (
+    Echelon,
+    Matrix,
+    _apply,
+    _columns,
+    _subtract,
+    echelon,
+    hstack,
+    inverse,
+    kernel,
+    rank,
+)
 from .scalars import MINUS_ONE, ONE, sc
 
 
@@ -63,6 +77,21 @@ class Square:
 class Zigzag:
     start: Bidegree
     steps: tuple[str, ...]  # "del" / "delbar", read from the start vertex
+
+    @property
+    def vertices(self) -> list[Bidegree]:
+        """The bidegrees from start on.  The steps go up and down in total
+        degree by turns, and the last vertex is the lexicographically
+        larger end, which settles whether the first step goes up."""
+        (p, q), verts = self.start, [self.start]
+        for i, step in enumerate(self.steps):
+            sign = 1 if i % 2 == 0 else -1
+            p, q = (p + sign, q) if step == "del" else (p, q + sign)
+            verts.append((p, q))
+        if verts[-1] < verts[0]:  # the first step goes down: reflect through start
+            p0, q0 = self.start
+            verts = [(2 * p0 - p, 2 * q0 - q) for p, q in verts]
+        return verts
 
 
 Shape = Square | Zigzag
@@ -183,12 +212,13 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex)
             t_left = (p, q + 1)
             t_right = (p + 1, q)
             lmat, rmat = cur.delbar_map(p, q), cur.del_map(p, q)
+            lcols, rcols = _columns(lmat), _columns(rmat)  # applied to every candidate
             left, left_ech = ends.setdefault(t_left, ([], Echelon()))
             _, piv, ker = echelon(rmat)
             candidates = [("ker", ker.column(j)) for j in range(ker.ncols)]
             candidates += [("piv", _units(ns, [c])) for c in piv]
             for kind, v in candidates:
-                lv = lmat @ v
+                lv = _apply(lcols, lmat.nrows, v)
                 col, ops = _columns(lv)[0], {}
                 if left_ech.reduce(col, ops) is not None:
                     # the image leaves the span of the ends: a new line, closed by v
@@ -205,7 +235,7 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex)
                             hits.append((i, -o, left[i].string))
                     want = sum((left[i].vector.scale(mu) for i, mu, _ in hits),
                                Matrix.zero(lv.nrows, 1))
-                    if lmat @ v != want:
+                    if _apply(lcols, lmat.nrows, v) != want:
                         raise InternalError(f"closed component survives clearing at ({p},{q})")
                     if not hits:
                         hit_string = _String([((p, q), v)])
@@ -241,7 +271,7 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex)
                         left[ai].closer = v
                         hit_string = a
                 if kind == "piv":
-                    rv = rmat @ v
+                    rv = _apply(rcols, rmat.nrows, v)
                     right, right_ech = ends.setdefault(t_right, ([], Echelon()))
                     if right_ech.add(_columns(rv)[0], {len(right): ONE}) is None:
                         raise InternalError(f"frontier collapsed at ({p},{q}) level {k}")
@@ -253,11 +283,15 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex)
             if ech.cols:
                 n = cur.dim(*bid)
                 _shrink(act, cur, bid, _units(n, [i for i in range(n) if i not in ech.cols]))
+        back: dict[Bidegree, list] = {}  # each snapshot's columns, read once
         for st in strings:
+            for bid, _ in st.verts:
+                if bid not in back:
+                    back[bid] = _columns(snapshot[bid])
             parts.append(
                 _RawPart(
                     "zigzag",
-                    [(bid, snapshot[bid] @ vec) for bid, vec in st.verts],
+                    [(bid, _apply(back[bid], dc.spaces[bid], vec)) for bid, vec in st.verts],
                 )
             )
     for pq in support:
@@ -324,8 +358,6 @@ def decompose(dc: DoubleComplex, tables: dict | None = None) -> Decomposition:
                 raise InternalError(
                     f"conjugated differential is not block-diagonal at ({p},{q})"
                 )
-    if all_tables(model) != tables:
-        raise InternalError("block model changes a cohomology table")
 
     grouped: list[tuple[Shape, int]] = []
     for part in raw:
@@ -334,7 +366,44 @@ def decompose(dc: DoubleComplex, tables: dict | None = None) -> Decomposition:
             grouped[-1] = (shape, grouped[-1][1] + 1)
         else:
             grouped.append((shape, 1))
+    if shape_tables(grouped) != tables:
+        raise InternalError("block model changes a cohomology table")
     return Decomposition(grouped, change, model)
+
+
+def shape_tables(parts: Iterable[tuple[Shape, int]]) -> dict[str, dict]:
+    """The five cohomology tables of a direct sum of shapes, each (shape,
+    multiplicity), from Stelzig's local rules ("On the structure of double
+    complexes", arXiv:1812.00865), keyed and ordered as `all_tables`.
+
+    Squares add nothing.  In a zigzag, a vertex with no delbar edge adds
+    1 to Dolbeault at its bidegree and one with no del edge 1 to del; one
+    with no outgoing edge adds 1 to Bott-Chern and one with no incoming
+    edge 1 to Aeppli.  A zigzag with an odd number of vertices adds 1 to
+    de Rham in the total degree that holds more of its vertices.
+    """
+    tables: dict[str, Counter] = {
+        name: Counter() for name in ("dolbeault", "del", "bott_chern", "aeppli", "de_rham")
+    }
+    for shape, mult in parts:
+        if isinstance(shape, Square):
+            continue
+        verts = shape.vertices
+        edges: dict[Bidegree, set[str]] = {v: set() for v in verts}
+        for a, b in zip(verts, verts[1:]):
+            src, tgt = (a, b) if sum(a) < sum(b) else (b, a)
+            kind = "del" if a[0] != b[0] else "delbar"
+            edges[src] |= {kind, "out"}
+            edges[tgt] |= {kind, "in"}
+        for v, has in edges.items():
+            for name, edge in (("dolbeault", "delbar"), ("del", "del"),
+                               ("bott_chern", "out"), ("aeppli", "in")):
+                if edge not in has:
+                    tables[name][v] += mult
+        if len(verts) % 2:
+            degrees = Counter(p + q for p, q in verts)
+            tables["de_rham"][max(degrees, key=degrees.__getitem__)] += mult
+    return {name: dict(sorted(t.items())) for name, t in tables.items()}
 
 
 def page1_by_shape(d: Decomposition) -> bool:

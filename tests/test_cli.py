@@ -271,10 +271,11 @@ TABLE_FUNCTIONS = ("dolbeault_table", "del_table", "_bott_chern_aeppli", "de_rha
 
 
 @pytest.mark.parametrize("argv, calls", [
-    (["classify", "catalog:heisenberg3-invariant"], 2),  # the input and the block model
-    (["solv", "nakamura:real"], 2),
-    (["splitting", "nakamura:identically"], 2),
-    (["decompose", "catalog:wedge"], 2),
+    # the input only: the certificate reads the block model's tables off its shapes
+    (["classify", "catalog:heisenberg3-invariant"], 1),
+    (["solv", "nakamura:real"], 1),
+    (["splitting", "nakamura:identically"], 1),
+    (["decompose", "catalog:wedge"], 1),
     (["cohomology", "catalog:wedge"], 1),
 ])
 def test_each_table_is_computed_once_per_complex(monkeypatch, capsys, argv, calls):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +20,9 @@ from bicomplex import (
     solve_right,
     vstack,
 )
-from bicomplex.linalg import Echelon, echelon
+from bicomplex.linalg import Echelon, _apply, _columns, _subtract, echelon
 from conftest import random_matrix
+from scalar_oracle import PairScalar
 
 
 def rows(*rs):
@@ -238,3 +240,81 @@ def test_echelon_keeps_copies_of_what_it_is_given(seed, nrows, ncols):
         d.clear()
         d[nrows + ncols] = ONE
     assert (ech.cols, ech.ops) == before
+
+
+# Gaussian integers (d = 1, some with imaginary parts) and d != 1 values,
+# so both the integer paths and the general ones run, and mix
+MIXED = [sc(1), sc(-1), sc(2), sc(0, 1), sc(1, -1), sc(-2, 3),
+         sc(Fraction(1, 2)), sc(Fraction(-2, 3), 1), sc(0, Fraction(3, 4))]
+
+
+def mixed_matrix(rng: random.Random, nrows: int, ncols: int, integral: bool) -> Matrix:
+    pool = MIXED[:6] if integral else MIXED
+    entries = {(r, c): rng.choice(pool) for r in range(nrows) for c in range(ncols)
+               if rng.random() < 0.6}
+    return Matrix(nrows, ncols, entries)
+
+
+def as_pairs(entries):
+    return {k: PairScalar(v.re, v.im) for k, v in entries.items()}
+
+
+def oracle_product(a: Matrix, b: Matrix):
+    out = {}
+    for (r, k), x in as_pairs(a.entries).items():
+        for (k2, c), y in as_pairs(b.entries).items():
+            if k == k2:
+                out[(r, c)] = out.get((r, c), PairScalar(Fraction(0), Fraction(0))) + x * y
+    return {key: v for key, v in out.items() if v}
+
+
+@pytest.mark.parametrize("integral", [True, False])
+def test_product_agrees_with_the_pair_oracle(integral):
+    for seed in range(150):
+        rng = random.Random(seed)
+        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a = mixed_matrix(rng, n, k, integral)
+        b = mixed_matrix(rng, k, m, integral and seed % 3 > 0)
+        assert as_pairs((a @ b).entries) == oracle_product(a, b)
+        # every sum cancels exactly: each entry is added and then deleted
+        assert (hstack([a, a]) @ vstack([b, -b])).is_zero
+
+
+@pytest.mark.parametrize("integral", [True, False])
+def test_subtract_agrees_with_the_pair_oracle(integral):
+    pool = MIXED[:6] if integral else MIXED
+    for seed in range(300):
+        rng = random.Random(seed)
+        col = {i: rng.choice(pool) for i in range(6) if rng.random() < 0.5}
+        other = {i: rng.choice(pool) for i in range(6) if rng.random() < 0.6}
+        f = rng.choice(pool if seed % 4 else MIXED)
+        if seed % 5 == 0:  # other = col / f: every entry of col cancels
+            other = {i: v / f for i, v in col.items()}
+        want = as_pairs(col)
+        fp = PairScalar(f.re, f.im)
+        for i, v in as_pairs(other).items():
+            want[i] = want.get(i, PairScalar(Fraction(0), Fraction(0))) - fp * v
+        _subtract(col, f, other)
+        assert as_pairs(col) == {i: v for i, v in want.items() if v}
+        if seed % 5 == 0:
+            assert col == {}
+
+
+def test_derived_matrices_are_canonical():
+    # what linalg derives from valid matrices is built unchecked, so it
+    # must be exactly what validation would make of it
+    def derived(rng):
+        a = mixed_matrix(rng, 3, 4, rng.random() < 0.5)
+        b = mixed_matrix(rng, 4, 2, rng.random() < 0.5)
+        c = mixed_matrix(rng, 3, 4, rng.random() < 0.5)
+        v = mixed_matrix(rng, 4, 1, rng.random() < 0.5)
+        yield from (a @ b, a @ Matrix.zero(4, 2), a + c, a + (-a), a - c, -a,
+                    a.scale(sc(0, 2)), a.scale(ZERO), a.transpose(), a.conjugate(),
+                    a.columns([3, 1]), a.rows([2, 0]), a.column(0),
+                    hstack([a, c]), vstack([a, c]), kron(a, b),
+                    Matrix.identity(3), Matrix.zero(2, 3), kernel(a),
+                    echelon(vstack([a, c]))[2], _apply(_columns(a), 3, v))
+
+    for seed in range(60):
+        for m in derived(random.Random(seed)):
+            assert Matrix(m.nrows, m.ncols, dict(m.entries)) == m

@@ -19,6 +19,7 @@ from bicomplex import (
     random_page1_complex,
     random_zigzag_sum,
     report_lines,
+    shape_tables,
     shuffle_basis,
     sc,
     write_bicomplex,
@@ -261,6 +262,57 @@ def test_certificate_refuses_a_scaled_vector(monkeypatch):
     _corrupt_zigzags(monkeypatch, double)
     with pytest.raises(InternalError, match="not block-diagonal"):
         decompose(shuffled)
+
+
+def _walk(start, nverts, first_del, up_first):
+    """nverts bidegrees from start, del and delbar steps by turns, up and
+    down in total degree by turns."""
+    (p, q), verts = start, [start]
+    for i in range(nverts - 1):
+        sign = (1 if up_first else -1) * (1 if i % 2 == 0 else -1)
+        if (i % 2 == 0) == first_del:
+            p += sign
+        else:
+            q += sign
+        verts.append((p, q))
+    return verts
+
+
+@pytest.mark.parametrize("start", [(3, 3), (4, 3), (3, 5)])
+def test_shape_tables_match_each_shapes_own_complex(start):
+    square = Square(*start)
+    assert shape_tables([(square, 1)]) == all_tables(zigzags._square_complex(*start))
+    for nverts in range(1, 7):
+        for first_del in (True, False):
+            for up_first in (True, False):
+                verts = _walk(start, nverts, first_del, up_first)
+                shape = zigzags._zigzag_shape(verts)
+                assert shape.vertices in (verts, verts[::-1])
+                one = zigzags._zigzag_complex(verts)
+                assert shape_tables([(shape, 1)]) == all_tables(one)
+                two, _ = direct_sum([one, one, zigzags._square_complex(*start)])
+                assert shape_tables([(shape, 2), (square, 1)]) == all_tables(two)
+
+
+def test_shape_tables_match_the_planted_shapes():
+    # the generator's own record of what went in, with no decompose
+    for seed in range(200):
+        dc, planted = random_zigzag_sum(seed)
+        assert shape_tables(Counter(planted).items()) == all_tables(dc)
+
+
+@pytest.mark.parametrize("name", ["dolbeault", "del", "bott_chern", "aeppli", "de_rham"])
+def test_certificate_refuses_a_wrong_table(name):
+    # decompose given tables trusts them for nothing: they must be the
+    # ones the recovered shapes give
+    shuffled = shuffle_basis(random_zigzag_sum(0)[0], 10**6)
+    tables = all_tables(shuffled)
+    tampered = {**tables, name: dict(tables[name])}
+    key = next(iter(tampered[name]))
+    tampered[name][key] += 1
+    assert len(decompose(shuffled, tables).parts) > 0
+    with pytest.raises(InternalError, match="changes a cohomology table"):
+        decompose(shuffled, tampered)
 
 
 # sha256 of write_bicomplex(random_zigzag_sum(*args)[0]): the benchmark's
