@@ -1,6 +1,7 @@
 """Named example complexes used by the CLI, the tests and the docs.
 
-Micro-complexes (all spaces one-dimensional, all maps the identity):
+Micro-complexes, the shapes' own complexes from `zigzags` (all spaces
+one-dimensional, all maps 1 but the square's delbar at (1,0), -1):
 
   dot     single space at (0,0)
   hline   (0,0) --del--> (1,0)
@@ -17,38 +18,21 @@ from __future__ import annotations
 
 from .complexes import DoubleComplex, RealStructure
 from .lie import invariant_bicomplex, lie_by_name
-from .linalg import Matrix
-from .scalars import ONE, sc
+from .zigzags import _square_complex, _zigzag_complex
 
-
-def _one() -> Matrix:
-    return Matrix(1, 1, {(0, 0): ONE})
+_LINES = {
+    "dot": [(0, 0)],
+    "hline": [(0, 0), (1, 0)],
+    "vline": [(0, 0), (0, 1)],
+    "wedge": [(1, 0), (0, 0), (0, 1)],
+    "vee": [(0, 1), (1, 1), (1, 0)],
+}
 
 
 def _micro(name: str) -> DoubleComplex:
-    one = _one()
-    neg = Matrix(1, 1, {(0, 0): sc(-1)})
-    if name == "dot":
-        return DoubleComplex.build({(0, 0): 1}, {}, {})
-    if name == "hline":
-        return DoubleComplex.build({(0, 0): 1, (1, 0): 1}, {(0, 0): one}, {})
-    if name == "vline":
-        return DoubleComplex.build({(0, 0): 1, (0, 1): 1}, {}, {(0, 0): one})
     if name == "square":
-        return DoubleComplex.build(
-            {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
-            {(0, 0): one, (0, 1): one},
-            {(0, 0): one, (1, 0): neg},
-        )
-    if name == "wedge":
-        return DoubleComplex.build(
-            {(0, 0): 1, (1, 0): 1, (0, 1): 1}, {(0, 0): one}, {(0, 0): one}
-        )
-    if name == "vee":
-        return DoubleComplex.build(
-            {(0, 1): 1, (1, 1): 1, (1, 0): 1}, {(0, 1): one}, {(1, 0): one}
-        )
-    raise KeyError(name)
+        return _square_complex(0, 0)
+    return _zigzag_complex(_LINES[name])
 
 
 MICRO_NAMES = ("dot", "hline", "vline", "square", "wedge", "vee")

@@ -6,15 +6,18 @@ A double complex stores finite-dimensional spaces indexed by bidegree
 coordinate columns, so a map from (p, q) to (p+1, q) has shape
 dim(p+1, q) x dim(p, q).
 
-Normalization invariant: spaces holds only strictly positive dimensions,
-and a differential is stored at (p, q) exactly when both its source and
-its target are present (zero matrices are filled in).  `build` enforces
-this; `validate` re-checks it and the three axioms.
+Storage rule: a differential that is not stored is zero.  spaces holds
+only strictly positive dimensions, and a map is stored at (p, q) only
+when it is nonzero and both its source and its target are present.
+`build` enforces this; `validate` re-checks the endpoints and shapes of
+the stored maps and the three axioms where they meet.  `del_map`,
+`delbar_map` and `SimpleComplex.map` give a shaped zero for an absent
+map, for callers that need one as an operand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InternalError, ValidationError
 from .linalg import Column, Matrix, _columns, _combine, kron, rank, rank_columns
@@ -37,11 +40,11 @@ class DoubleComplex:
         del_maps: dict[Bidegree, Matrix] | None = None,
         delbar_maps: dict[Bidegree, Matrix] | None = None,
     ) -> DoubleComplex:
-        """Normalize raw data into the storage invariant.
+        """Normalize raw data into the storage rule.
 
-        Zero-dimensional spaces are dropped, missing differentials with
-        both endpoints present become zero matrices, and any nonzero map
-        attached to an absent endpoint raises ValidationError.
+        Zero-dimensional spaces and zero maps are dropped; a nonzero map
+        attached to an absent endpoint, or any map of the wrong shape
+        between present ones, raises ValidationError.
         """
         del_maps = del_maps or {}
         delbar_maps = delbar_maps or {}
@@ -66,10 +69,8 @@ class DoubleComplex:
                         f"{name} map at ({p},{q}) has shape "
                         f"{m.nrows}x{m.ncols}, expected {tgt}x{src}"
                     )
-                out[(p, q)] = m
-            for (p, q) in sp:
-                if (p + dp, q + dq) in sp and (p, q) not in out:
-                    out[(p, q)] = Matrix.zero(sp[(p + dp, q + dq)], sp[(p, q)])
+                if m.entries:
+                    out[(p, q)] = m
             return out
 
         return DoubleComplex(
@@ -107,7 +108,9 @@ class DoubleComplex:
         """All invariant and axiom violations, as human-readable strings.
 
         Structural problems are prefixed "structure:", axiom failures
-        "axiom:".  An empty list means the complex is valid.
+        "axiom:".  An empty list means the complex is valid.  The axioms
+        are checked where a stored map leaves (p, q): elsewhere every
+        composite has an absent, hence zero, factor.
         """
         problems: list[str] = []
         for pq, d in self.spaces.items():
@@ -127,28 +130,20 @@ class DoubleComplex:
                     problems.append(
                         f"structure: {name} map at ({p},{q}) has wrong shape"
                     )
-            for (p, q) in self.spaces:
-                if (p + dp, q + dq) in self.spaces and (p, q) not in maps:
-                    problems.append(
-                        f"structure: missing {name} map at ({p},{q})"
-                    )
 
-        check_maps(self.del_maps, 1, 0, "del")
-        check_maps(self.delbar_maps, 0, 1, "delbar")
+        dels, delbars = self.del_maps, self.delbar_maps
+        check_maps(dels, 1, 0, "del")
+        check_maps(delbars, 0, 1, "delbar")
         if problems:
             return problems
 
-        for (p, q) in self.bidegrees():
-            dd = self.del_map(p + 1, q) @ self.del_map(p, q)
-            if not dd.is_zero:
+        for (p, q) in sorted(dels.keys() | delbars.keys()):
+            d, b = dels.get((p, q)), delbars.get((p, q))
+            if not _vanishes((dels.get((p + 1, q)), d)):
                 problems.append(f"axiom: del^2 != 0 starting at ({p},{q})")
-            bb = self.delbar_map(p, q + 1) @ self.delbar_map(p, q)
-            if not bb.is_zero:
+            if not _vanishes((delbars.get((p, q + 1)), b)):
                 problems.append(f"axiom: delbar^2 != 0 starting at ({p},{q})")
-            anti = self.delbar_map(p + 1, q) @ self.del_map(p, q) + self.del_map(
-                p, q + 1
-            ) @ self.delbar_map(p, q)
-            if not anti.is_zero:
+            if not _vanishes((delbars.get((p + 1, q)), d), (dels.get((p, q + 1)), b)):
                 problems.append(
                     f"axiom: del delbar + delbar del != 0 starting at ({p},{q})"
                 )
@@ -159,6 +154,13 @@ class DoubleComplex:
         if problems:
             raise ValidationError("; ".join(problems))
         return self
+
+
+def _vanishes(*pairs: tuple[Matrix | None, Matrix | None]) -> bool:
+    """Whether the sum of after @ before over the pairs is zero, an absent
+    (None) factor making its product zero."""
+    terms = [a @ b for a, b in pairs if a is not None and b is not None]
+    return not terms or not sum(terms[1:], terms[0]).entries
 
 
 def transpose_complex(dc: DoubleComplex) -> DoubleComplex:
@@ -185,30 +187,29 @@ def _drop_zeros(table: dict) -> dict:
     return {k: v for k, v in sorted(table.items()) if v}
 
 
-def _cohomology(spaces: dict, out_rank, prev) -> dict:
+def _cohomology(spaces: dict, ranks: dict, prev) -> dict:
     """dim ker(out) - rank(in) at every index, zero entries omitted.
 
-    out_rank(i) is the rank of the map leaving index i and prev(i) the
-    index whose outgoing map enters i; each map is ranked once.
+    ranks[i] is the rank of the map leaving index i, absent when that map
+    is zero, and prev(i) the index whose outgoing map enters i.
     """
-    ranks = {i: out_rank(i) for i in spaces}
     return _drop_zeros(
-        {i: d - ranks[i] - ranks.get(prev(i), 0) for i, d in spaces.items()}
+        {i: d - ranks.get(i, 0) - ranks.get(prev(i), 0) for i, d in spaces.items()}
     )
+
+
+def _ranks(maps: dict) -> dict:
+    return {i: rank(m) for i, m in maps.items()}
 
 
 def dolbeault_table(dc: DoubleComplex) -> dict[Bidegree, int]:
     """dim H^{p,q} of the delbar direction, zero entries omitted."""
-    return _cohomology(
-        dc.spaces, lambda pq: rank(dc.delbar_map(*pq)), lambda pq: (pq[0], pq[1] - 1)
-    )
+    return _cohomology(dc.spaces, _ranks(dc.delbar_maps), lambda pq: (pq[0], pq[1] - 1))
 
 
 def del_table(dc: DoubleComplex) -> dict[Bidegree, int]:
     """dim H^{p,q} of the del direction, zero entries omitted."""
-    return _cohomology(
-        dc.spaces, lambda pq: rank(dc.del_map(*pq)), lambda pq: (pq[0] - 1, pq[1])
-    )
+    return _cohomology(dc.spaces, _ranks(dc.del_maps), lambda pq: (pq[0] - 1, pq[1]))
 
 
 def _map_columns(maps: dict[Bidegree, Matrix]) -> dict[Bidegree, list[Column]]:
@@ -266,8 +267,9 @@ class TotalComplex:
     """The totalization Tot^k = direct sum of spaces with p + q = k.
 
     Within each degree the summands are ordered by ascending p; offsets
-    give the starting coordinate of each bidegree.  The differential is
-    del + delbar (no extra signs: the two differentials anticommute).
+    give the starting coordinate of each bidegree.  The differential
+    d = del + delbar (no extra signs: the two differentials anticommute)
+    is laid out from the stored maps at these offsets by its users.
     """
 
     source: DoubleComplex
@@ -275,7 +277,6 @@ class TotalComplex:
     parts: dict[int, list[Bidegree]]
     offsets: dict[Bidegree, int]
     dims: dict[int, int]
-    _d_cache: dict[int, Matrix] = field(default_factory=dict)
 
     @staticmethod
     def of(dc: DoubleComplex) -> TotalComplex:
@@ -297,26 +298,6 @@ class TotalComplex:
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
 
-    def d(self, k: int) -> Matrix:
-        if k in self._d_cache:
-            return self._d_cache[k]
-        dc = self.source
-        entries = {}
-        for (p, q) in self.parts.get(k, []):
-            src_off = self.offsets[(p, q)]
-            for (tp, tq), m in (
-                ((p + 1, q), dc.del_map(p, q)),
-                ((p, q + 1), dc.delbar_map(p, q)),
-            ):
-                if (tp, tq) not in dc.spaces:
-                    continue
-                tgt_off = self.offsets[(tp, tq)]
-                for (r, c), v in m.entries.items():
-                    entries[(tgt_off + r, src_off + c)] = v
-        result = Matrix(self.dim(k + 1), self.dim(k), entries)
-        self._d_cache[k] = result
-        return result
-
 
 def de_rham_table(dc: DoubleComplex) -> dict[int, int]:
     """dim H^k of Tot, each d_k ranked from the columns of the del and
@@ -331,7 +312,7 @@ def de_rham_table(dc: DoubleComplex) -> dict[int, int]:
                              delbars.get((p, q)), tot.offsets.get((p, q + 1), 0))
         return rank_columns(cols)
 
-    return _cohomology(tot.dims, d_rank, lambda k: k - 1)
+    return _cohomology(tot.dims, {k: d_rank(k) for k in tot.degrees}, lambda k: k - 1)
 
 
 def all_tables(dc: DoubleComplex) -> dict[str, dict]:
@@ -369,10 +350,8 @@ class SimpleComplex:
                 continue
             if (m.nrows, m.ncols) != (tgt, src):
                 raise ValidationError(f"map at {p} has wrong shape")
-            out[p] = m
-        for p in sp:
-            if p + 1 in sp and p not in out:
-                out[p] = Matrix.zero(sp[p + 1], sp[p])
+            if m.entries:
+                out[p] = m
         return SimpleComplex(sp, out)
 
     def dim(self, p: int) -> int:
@@ -386,9 +365,8 @@ class SimpleComplex:
 
     def validate(self) -> list[str]:
         problems = []
-        for p in sorted(self.spaces):
-            m = self.map(p + 1) @ self.map(p)
-            if not m.is_zero:
+        for p in sorted(self.maps):
+            if not _vanishes((self.maps.get(p + 1), self.maps[p])):
                 problems.append(f"axiom: d^2 != 0 starting in degree {p}")
         return problems
 
@@ -399,7 +377,7 @@ class SimpleComplex:
         return self
 
     def cohomology(self) -> dict[int, int]:
-        return _cohomology(self.spaces, lambda p: rank(self.map(p)), lambda p: p - 1)
+        return _cohomology(self.spaces, _ranks(self.maps), lambda p: p - 1)
 
     def conjugate(self) -> SimpleComplex:
         return SimpleComplex(
@@ -420,13 +398,11 @@ def tensor_product(a: SimpleComplex, b: SimpleComplex) -> DoubleComplex:
     del_maps: dict[Bidegree, Matrix] = {}
     delbar_maps: dict[Bidegree, Matrix] = {}
     for (p, q) in spaces:
-        if (p + 1, q) in spaces:
-            del_maps[(p, q)] = kron(a.map(p), Matrix.identity(b.dim(q)))
-        if (p, q + 1) in spaces:
-            m = kron(Matrix.identity(a.dim(p)), b.map(q))
-            if p % 2:
-                m = -m
-            delbar_maps[(p, q)] = m
+        if p in a.maps:
+            del_maps[(p, q)] = kron(a.maps[p], Matrix.identity(b.dim(q)))
+        if q in b.maps:
+            m = kron(Matrix.identity(a.dim(p)), b.maps[q])
+            delbar_maps[(p, q)] = -m if p % 2 else m
     return DoubleComplex.build(spaces, del_maps, delbar_maps)
 
 

@@ -120,13 +120,10 @@ def _reduce(dc: DoubleComplex, filtration: str) -> _Reduction:
         start[pq] = len(cells)
         cells += [pq] * dc.spaces[pq]
     entries = {}
-    for (p, q) in order:
-        for tgt, m in (
-            ((p + 1, q), dc.del_map(p, q)),
-            ((p, q + 1), dc.delbar_map(p, q)),
-        ):
-            if tgt in start:
-                for (r, c), v in m.entries.items():
+    for (p, q) in order:  # d = del + delbar from the stored maps
+        for maps, tgt in ((dc.del_maps, (p + 1, q)), (dc.delbar_maps, (p, q + 1))):
+            if (p, q) in maps:
+                for (r, c), v in maps[(p, q)].entries.items():
                     entries[(start[tgt] + r, start[(p, q)] + c)] = v
     ech, lows, ker = echelon(Matrix(len(cells), len(cells), entries))  # R per low, V as ops
     pairs = [(low, j) for j, low in lows.items()]

@@ -351,10 +351,14 @@ def decompose(dc: DoubleComplex, tables: dict | None = None) -> Decomposition:
         else _zigzag_complex([bid for bid, _ in part.verts])
         for part in raw
     ])
-    for maps, dc_map, (dp, dq) in ((model.del_maps, dc.del_map, (1, 0)),
-                                   (model.delbar_maps, dc.delbar_map, (0, 1))):
-        for (p, q), want in maps.items():
-            if dc_map(p, q) @ change[(p, q)] != change[(p + dp, q + dq)] @ want:
+    # wherever either side stores a map: there an absent one is zero, so a
+    # map the model lacks must vanish on C
+    for maps, model_maps, dc_map, model_map, (dp, dq) in (
+        (dc.del_maps, model.del_maps, dc.del_map, model.del_map, (1, 0)),
+        (dc.delbar_maps, model.delbar_maps, dc.delbar_map, model.delbar_map, (0, 1)),
+    ):
+        for (p, q) in sorted(maps.keys() | model_maps.keys()):
+            if dc_map(p, q) @ change[(p, q)] != change[(p + dp, q + dq)] @ model_map(p, q):
                 raise InternalError(
                     f"conjugated differential is not block-diagonal at ({p},{q})"
                 )

@@ -21,6 +21,8 @@ the class coordinates of two persistence reductions, must agree with it.
 
 from __future__ import annotations
 
+from functools import cache
+
 from bicomplex import (
     DoubleComplex,
     Matrix,
@@ -53,14 +55,32 @@ def _filt_col(tot: TotalComplex, k: int, p: int) -> Subspace:
     return _blocks(tot, k, lambda pq: pq[0] >= p)
 
 
-def _zr_br(tot: TotalComplex, p: int, q: int, r: int) -> tuple[Subspace, Subspace]:
+def _differential(tot: TotalComplex):
+    """k -> d_k: Tot^k -> Tot^(k+1), del + delbar from the stored maps
+    placed at Tot's offsets, each built once."""
+    dc = tot.source
+
+    @cache
+    def d(k: int) -> Matrix:
+        entries = {}
+        for (p, q) in tot.parts.get(k, []):
+            for maps, tgt in ((dc.del_maps, (p + 1, q)), (dc.delbar_maps, (p, q + 1))):
+                if (p, q) in maps:
+                    for (r, c), v in maps[(p, q)].entries.items():
+                        entries[(tot.offsets[tgt] + r, tot.offsets[(p, q)] + c)] = v
+        return Matrix(tot.dim(k + 1), tot.dim(k), entries)
+
+    return d
+
+
+def _zr_br(tot: TotalComplex, tot_d, p: int, q: int, r: int) -> tuple[Subspace, Subspace]:
     k = p + q
-    d = tot.d(k)
+    d = tot_d(k)
     upper = _filt_col(tot, k + 1, p + r)
     z = _filt_col(tot, k, p).intersect(preimage(d, upper))
     b = _filt_col(tot, k, p + 1).intersect(preimage(d, upper))
     if k - 1 in tot.dims:
-        img = tot.d(k - 1) @ _filt_col(tot, k - 1, p - r + 1).basis
+        img = tot_d(k - 1) @ _filt_col(tot, k - 1, p - r + 1).basis
         b = b.sum(
             _filt_col(tot, k, p).intersect(Subspace.from_columns(tot.dim(k), img))
         )
@@ -73,6 +93,7 @@ def oracle_pages(dc: DoubleComplex, filtration: str = "col") -> list[Page]:
     if filtration == "row":
         return oracle_pages(transpose_complex(dc), "col")
     tot = TotalComplex.of(dc)
+    tot_d = _differential(tot)
     support = dc.bidegrees()
     bound = 0
     if support:
@@ -82,7 +103,7 @@ def oracle_pages(dc: DoubleComplex, filtration: str = "col") -> list[Page]:
     pages: list[Page] = []
     for r in range(1, max(2, bound + 2) + 1):
         dims, ranks = {}, {}
-        cache = {pq: _zr_br(tot, *pq, r) for pq in support}
+        cache = {pq: _zr_br(tot, tot_d, *pq, r) for pq in support}
         for pq, (z, b) in cache.items():
             if z.dim - b.dim:
                 dims[pq] = z.dim - b.dim
@@ -91,7 +112,7 @@ def oracle_pages(dc: DoubleComplex, filtration: str = "col") -> list[Page]:
             if tgt not in cache or z.dim == 0:
                 continue
             tb = cache[tgt][1]
-            img = tot.d(p + q) @ z.basis
+            img = tot_d(p + q) @ z.basis
             rk = Subspace.from_columns(tot.dim(p + q + 1), img).sum(tb).dim - tb.dim
             if rk:
                 ranks[(p, q)] = rk
@@ -107,6 +128,7 @@ def oracle_pieces(dc: DoubleComplex) -> tuple[dict, dict, dict]:
     pure when those pieces span H^k as a direct sum.
     """
     tot = TotalComplex.of(dc)
+    tot_d = _differential(tot)
     support = dc.bidegrees()
     dims, filtration_dims, pure = {}, {}, {}
     if not support:
@@ -114,8 +136,8 @@ def oracle_pieces(dc: DoubleComplex) -> tuple[dict, dict, dict]:
     pmin, pmax = min(p for p, _ in support), max(p for p, _ in support)
     qmin, qmax = min(q for _, q in support), max(q for _, q in support)
     for k in tot.degrees:
-        z = Subspace.from_columns(tot.dim(k), kernel(tot.d(k)))
-        b = Subspace.from_columns(tot.dim(k), tot.d(k - 1))
+        z = Subspace.from_columns(tot.dim(k), kernel(tot_d(k)))
+        b = Subspace.from_columns(tot.dim(k), tot_d(k - 1))
         hk = z.dim - b.dim
         col = {
             p: z.intersect(_blocks(tot, k, lambda pq: pq[0] >= p)).sum(b)

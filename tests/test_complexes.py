@@ -8,12 +8,20 @@ from bicomplex import (
     SimpleComplex,
     ValidationError,
     all_tables,
+    build_C,
+    build_splitting,
     catalog_complex,
+    catalog_names,
     check_real_structure,
+    decompose,
     direct_sum,
     euler_characteristic,
     labeled_real_structure,
+    nakamura_preset,
+    nakamura_splitting_preset,
+    random_zigzag_sum,
     sc,
+    shuffle_basis,
     tensor_product,
     transpose_complex,
 )
@@ -83,11 +91,41 @@ def test_build_rejects_maps_into_nowhere():
         DoubleComplex.build({(0, 0): 1}, {(0, 0): ONE_1x1}, {})
 
 
-def test_build_drops_zero_spaces_and_fills_zero_maps():
+def test_build_drops_zero_spaces_and_zero_maps():
     dc = DoubleComplex.build({(0, 0): 1, (1, 0): 1, (5, 5): 0}, {}, {})
     assert (5, 5) not in dc.spaces
+    assert dc.del_maps == {}
     assert dc.del_map(0, 0).is_zero
     assert dc.validate() == []
+    # a zero map given is dropped, but only once its shape has been checked
+    spaces = {(0, 0): 1, (1, 0): 1}
+    assert DoubleComplex.build(spaces, {(0, 0): Matrix.zero(1, 1)}).del_maps == {}
+    with pytest.raises(ValidationError, match="has shape 2x1"):
+        DoubleComplex.build(spaces, {(0, 0): Matrix.zero(2, 1)})
+    assert SimpleComplex.build({0: 1, 1: 1}, {0: Matrix.zero(1, 1)}).maps == {}
+    with pytest.raises(ValidationError, match="wrong shape"):
+        SimpleComplex.build({0: 1, 1: 1}, {0: Matrix.zero(1, 2)})
+
+
+def _built_complexes():
+    for name in catalog_names():
+        yield name, catalog_complex(name)[0]
+    for case in ("identically", "real"):
+        yield f"solv {case}", build_C(nakamura_preset(case))[0]
+        yield f"splitting {case}", build_splitting(nakamura_splitting_preset(case))[0]
+    for seed in range(20):
+        dc = random_zigzag_sum(seed)[0]
+        shuffled = shuffle_basis(dc, seed)
+        yield f"zigzag sum {seed}", dc
+        yield f"shuffled {seed}", shuffled
+        yield f"transposed {seed}", transpose_complex(shuffled)
+        yield f"model {seed}", decompose(shuffled).model
+
+
+def test_builders_store_no_zero_map():
+    for name, dc in _built_complexes():
+        stored = [*dc.del_maps.values(), *dc.delbar_maps.values()]
+        assert all(m.entries for m in stored), name
 
 
 def test_validate_reports_broken_axioms():
@@ -106,6 +144,20 @@ def test_validate_reports_broken_axioms():
         {(0, 0): ONE_1x1, (1, 0): ONE_1x1},
     )
     assert any("del delbar + delbar del" in p for p in bad2.validate())
+    # delbar then delbar nonzero
+    bad3 = DoubleComplex.build(
+        {(0, 0): 1, (0, 1): 1, (0, 2): 1},
+        {},
+        {(0, 0): ONE_1x1, (0, 1): ONE_1x1},
+    )
+    assert bad3.validate() == ["axiom: delbar^2 != 0 starting at (0,0)"]
+    # built by hand: an absent map is zero, not missing
+    wedge_and_dot = DoubleComplex(
+        {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
+        {(0, 0): ONE_1x1},
+        {(0, 0): ONE_1x1},
+    )
+    assert wedge_and_dot.validate() == []
 
 
 def test_square_catalog_complex_is_valid():

@@ -264,6 +264,20 @@ def test_certificate_refuses_a_scaled_vector(monkeypatch):
         decompose(shuffled)
 
 
+def test_certificate_covers_maps_the_model_lacks(monkeypatch):
+    # a line split into two dots keeps a basis, but the model then stores
+    # no map where the input maps one vertex onto the other
+    shuffled = shuffle_basis(random_zigzag_sum(0, (2,))[0], 10**6)
+
+    def split(parts):
+        i = next(i for i, part in enumerate(parts) if len(part.verts) == 2)
+        parts[i:i + 1] = [zigzags._RawPart("zigzag", [vert]) for vert in parts[i].verts]
+
+    _corrupt_zigzags(monkeypatch, split)
+    with pytest.raises(InternalError, match="not block-diagonal"):
+        decompose(shuffled)
+
+
 def _walk(start, nverts, first_del, up_first):
     """nverts bidegrees from start, del and delbar steps by turns, up and
     down in total degree by turns."""
