@@ -17,7 +17,7 @@ map, for callers that need one as an operand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InternalError, ValidationError
 from .linalg import Column, Matrix, _columns, _combine, kron, rank, rank_columns
@@ -28,9 +28,18 @@ Bidegree = tuple[int, int]
 
 @dataclass
 class DoubleComplex:
+    """factors, when not empty, records the complex as a direct sum of
+    tensor products: one (a, b, offsets) per summand tensor_product(a, b),
+    offsets[(p, q)] being its first coordinate in the (p, q) space.  Only
+    `tensor_product` and `direct_sum` set it.  `decompose` reads its parts
+    off it and certifies them as any others; it is not compared or shown."""
+
     spaces: dict[Bidegree, int]
     del_maps: dict[Bidegree, Matrix]
     delbar_maps: dict[Bidegree, Matrix]
+    factors: tuple[tuple[SimpleComplex, SimpleComplex, dict[Bidegree, int]], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     # -- construction ---------------------------------------------------
 
@@ -403,7 +412,9 @@ def tensor_product(a: SimpleComplex, b: SimpleComplex) -> DoubleComplex:
         if q in b.maps:
             m = kron(Matrix.identity(a.dim(p)), b.maps[q])
             delbar_maps[(p, q)] = -m if p % 2 else m
-    return DoubleComplex.build(spaces, del_maps, delbar_maps)
+    dc = DoubleComplex.build(spaces, del_maps, delbar_maps)
+    dc.factors = ((a, b, dict.fromkeys(dc.spaces, 0)),)
+    return dc
 
 
 def direct_sum(
@@ -413,6 +424,7 @@ def direct_sum(
 
     offsets[i][(p, q)] is the first coordinate of summand i inside the
     combined (p, q) space (present only when summand i is nonzero there).
+    The sum keeps the summands' factors, shifted, when every one has them.
     """
     spaces: dict[Bidegree, int] = {}
     offsets: list[dict[Bidegree, int]] = []
@@ -443,6 +455,12 @@ def direct_sum(
     dc = DoubleComplex.build(
         spaces, assemble("del", 1, 0), assemble("delbar", 0, 1)
     )
+    if all(summand.factors for summand in summands):
+        dc.factors = tuple(
+            (a, b, {pq: offs[pq] + o for pq, o in inner.items()})
+            for summand, offs in zip(summands, offsets)
+            for a, b, inner in summand.factors
+        )
     return dc, offsets
 
 

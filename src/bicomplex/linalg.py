@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .scalars import ONE, ZERO, Scalar, _raw, sc
+from .scalars import MINUS_ONE, ONE, ZERO, Scalar, _raw, sc
 
 Entry = tuple[int, int]
 
@@ -408,10 +408,14 @@ class Echelon:
         """Reduce col, then keep copies of it and its ops, scaled to 1 at its low (returned)."""
         low = self.reduce(col, ops)
         if low is not None:
-            if col[low] == ONE:
+            lead = col[low]
+            if lead == ONE:
                 self.cols[low], self.ops[low] = dict(col), dict(ops)
+            elif lead == MINUS_ONE:  # a negation, not a multiply per entry
+                self.cols[low] = {i: -v for i, v in col.items()}
+                self.ops[low] = {i: -v for i, v in ops.items()}
             else:
-                inv = col[low].inverse()
+                inv = lead.inverse()
                 self.cols[low] = {i: inv * v for i, v in col.items()}
                 self.ops[low] = {i: inv * v for i, v in ops.items()}
         return low

@@ -1,5 +1,13 @@
 """Decomposition into squares and zigzags with a certified change of basis.
 
+Two producers give the parts, and one certificate checks either.  A
+complex that records its tensor factors (`DoubleComplex.factors`: a
+`tensor_product` or a `direct_sum` of them, so every builder's complex)
+takes the factored producer: one echelon of each factor map splits each
+factor into dots and arrows, and a piece of a times a piece of b is a
+dot, a del line, a delbar line or a square.  Every other complex (one
+built, parsed, shuffled or transposed) takes phases A and B below.
+
 The active subcomplex is kept in its own coordinates.  Each shrink of
 an active space multiplies its basis by a K that is 1 at each column's
 low and 0 at the other columns' lows (a canonical kernel basis, or unit
@@ -35,12 +43,14 @@ else the ops are its coordinates, the closed ends are cleared through
 the source vectors that closed them, and what is left must be exactly
 the open hits.  The rows that are no low complement the target's ends.
 
-Nothing here is trusted: the change of basis C must be square of full
-rank at every bidegree and carry the block model, the direct sum of the
-parts' own complexes, onto the input literally (d C = C d_model, so
-C^-1 d C is the model without forming C^-1).  Independently, the five
-tables that the shapes give by Stelzig's local rules (`shape_tables`)
-must match the input's.
+Nothing here is trusted, the factor record included: the change of
+basis C must be square of full rank at every bidegree and carry the
+block model, the direct sum of the parts' own complexes (assembled in
+one pass over the sorted parts), onto the input literally
+(d C = C d_model, so C^-1 d C is the model without forming C^-1).
+Independently, the five tables that the shapes give by Stelzig's local
+rules (`shape_tables`) must match the input's, which are computed from
+the assembled complex and never from its factors.
 """
 
 from __future__ import annotations
@@ -50,12 +60,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .complexes import Bidegree, DoubleComplex, all_tables, direct_sum
+from .complexes import Bidegree, DoubleComplex, SimpleComplex, all_tables, direct_sum
 from .errors import InternalError
 from .linalg import (
+    Column,
     Echelon,
     Matrix,
     _apply,
+    _canonical,
     _columns,
     _subtract,
     echelon,
@@ -64,7 +76,7 @@ from .linalg import (
     kernel,
     rank,
 )
-from .scalars import MINUS_ONE, ONE, sc
+from .scalars import MINUS_ONE, ONE, Scalar, sc
 
 
 @dataclass(frozen=True)
@@ -116,13 +128,24 @@ def _units(n: int, rows: list[int]) -> Matrix:
 
 
 def _shrink(act: dict[Bidegree, Matrix], cur: DoubleComplex, pq: Bidegree, k: Matrix) -> None:
-    """Shrink the active space at pq to the span of act[pq] @ k."""
+    """Shrink the active space at pq to the span of act[pq] @ k.  A map into
+    it must keep its image in that span, or the differential leaks.  An
+    empty k spends the space: its maps leave cur, since absent means zero."""
     (p, q), lows = pq, [0] * k.ncols
+    sides = ((cur.del_maps, (p - 1, q)), (cur.delbar_maps, (p, q - 1)))
+    cur.spaces[pq] = k.ncols
+    if not k.ncols:
+        act[pq] = Matrix.zero(act[pq].nrows, 0)
+        for maps, src in sides:
+            into = maps.pop(src, None)
+            if into is not None and into.entries:
+                raise InternalError("differential leaks outside the active subspace")
+            maps.pop(pq, None)
+        return
     for r, c in k.entries:
         lows[c] = max(lows[c], r)
     act[pq] = act[pq] @ k
-    cur.spaces[pq] = k.ncols
-    for maps, src in ((cur.del_maps, (p - 1, q)), (cur.delbar_maps, (p, q - 1))):
+    for maps, src in sides:
         if src in maps:
             old = maps[src]
             maps[src] = old.rows(lows)
@@ -300,6 +323,54 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex)
     return parts
 
 
+def _pieces(c: SimpleComplex) -> list[tuple[int, list[Column]]]:
+    """c split into dots (p, [x]) and arrows (p, [x, d x]) out of p, as sparse
+    columns: one echelon of each d_p gives the arrows (e_j, d_p e_j) at its
+    pivot columns j, and the dots are its kernel columns independent of the
+    images d_{p-1} e_j."""
+    pieces: list[tuple[int, list[Column]]] = []
+    images: dict[int, list[Column]] = {}
+    for p in sorted(c.spaces):
+        m = c.map(p)
+        if (m.nrows, m.ncols) != (c.dim(p + 1), c.dim(p)):
+            raise InternalError(f"factor map at {p} has the wrong shape")
+        _, piv, ker = echelon(m)
+        seen = Echelon()  # no ops: a bare span
+        for y in images.get(p, ()):
+            seen.add(dict(y), {})
+        pieces += [(p, [z]) for z in _columns(ker) if seen.add(dict(z), {}) is not None]
+        cols = _columns(m)
+        for j in piv:
+            pieces.append((p, [{j: ONE}, cols[j]]))
+            images.setdefault(p + 1, []).append(cols[j])
+    return pieces
+
+
+def _factored_parts(dc: DoubleComplex) -> list[_RawPart]:
+    """The parts of a complex that records its tensor factors: a piece of a
+    times a piece of b is a dot, a del or delbar line or a square, with
+    vectors the krons at the block's offsets, under tensor_product's sign
+    delbar(x (x) y) = (-1)^p x (x) d y."""
+    parts: list[_RawPart] = []
+    for a, b, offs in dc.factors:
+        b_pieces = _pieces(b)
+        for p, xs in _pieces(a):
+            for q, ys in b_pieces:
+                verts = []
+                for j, y in enumerate(ys):
+                    neg = j and p % 2
+                    for i, x in enumerate(xs):
+                        pq, nb = (p + i, q + j), b.dim(q + j)
+                        n, o = dc.dim(*pq), offs.get(pq)
+                        if o is None or o + a.dim(p + i) * nb > n:
+                            raise InternalError(f"factor record does not fit the complex at {pq}")
+                        entries = {(o + r * nb + t, 0): -(u * v) if neg else u * v
+                                   for r, u in x.items() for t, v in y.items()}
+                        verts.append((pq, _canonical(n, 1, entries)))
+                parts.append(_RawPart("square" if len(verts) == 4 else "zigzag", verts))
+    return parts
+
+
 def _zigzag_shape(verts: list[Bidegree]) -> Zigzag:
     seq = list(verts)
     if seq[-1] < seq[0]:
@@ -323,21 +394,42 @@ def _sort_key(shape: Shape):
     return (1, shape.start[0], shape.start[1], shape.steps)
 
 
+def _edges(part: _RawPart) -> list[tuple[Bidegree, Bidegree, Scalar]]:
+    """The maps of a part's own complex: (source, target, entry)."""
+    bids = [bid for bid, _ in part.verts]
+    if part.kind == "square":
+        pq, right, up, corner = bids
+        return [(pq, right, ONE), (pq, up, ONE), (up, corner, ONE), (right, corner, MINUS_ONE)]
+    return [(u, v, ONE) if sum(u) < sum(v) else (v, u, ONE) for u, v in zip(bids, bids[1:])]
+
+
 def decompose(dc: DoubleComplex, tables: dict | None = None) -> Decomposition:
     """The certified square/zigzag decomposition of dc.  Given tables,
     trusts that dc was validated; else checks dc first."""
     if tables is None:
         tables = all_tables(dc.check())
-    act = {pq: Matrix.identity(dc.spaces[pq]) for pq in dc.spaces}
-    # the active subcomplex in its own coordinates; spent spaces stay at dim 0
-    cur = DoubleComplex(dict(dc.spaces), dict(dc.del_maps), dict(dc.delbar_maps))
-    raw = _phase_a(dc, act, cur) + _phase_b(dc, act, cur)
-    raw.sort(key=lambda part: _sort_key(_shape_of(part)))
+    if dc.factors:
+        raw = _factored_parts(dc)
+    else:
+        act = {pq: Matrix.identity(dc.spaces[pq]) for pq in dc.spaces}
+        # the active subcomplex in its own coordinates; spent spaces stay at dim 0
+        cur = DoubleComplex(dict(dc.spaces), dict(dc.del_maps), dict(dc.delbar_maps))
+        raw = _phase_a(dc, act, cur) + _phase_b(dc, act, cur)
+    ranked = sorted(((_shape_of(part), part) for part in raw), key=lambda sp: _sort_key(sp[0]))
 
+    # the block model, each part's vertices at the next free coordinate of
+    # their bidegrees, and the vectors of C in the same order
     cols: dict[Bidegree, list[Matrix]] = {pq: [] for pq in dc.spaces}
-    for part in raw:
+    dels: dict[Bidegree, dict] = {}  # source -> {(row, col): entry}
+    delbars: dict[Bidegree, dict] = {}
+    for _, part in ranked:
+        at = {}
         for bid, vec in part.verts:
+            at[bid] = len(cols[bid])
             cols[bid].append(vec)
+        for src, tgt, v in _edges(part):
+            maps = delbars if tgt[0] == src[0] else dels
+            maps.setdefault(src, {})[(at[tgt], at[src])] = v
 
     change: dict[Bidegree, Matrix] = {}
     for pq, vs in cols.items():
@@ -345,12 +437,12 @@ def decompose(dc: DoubleComplex, tables: dict | None = None) -> Decomposition:
         change[pq] = hstack(vs) if vs else Matrix.zero(dc.spaces[pq], 0)
         if not (change[pq].ncols == rank(change[pq]) == dc.spaces[pq]):
             raise InternalError(f"the parts give no basis at {pq}")
-    # each part adds one vector per bidegree it meets, in the order of cols
-    model, _ = direct_sum([
-        _square_complex(*part.verts[0][0]) if part.kind == "square"
-        else _zigzag_complex([bid for bid, _ in part.verts])
-        for part in raw
-    ])
+    spaces = dc.spaces  # now also the model's
+    model = DoubleComplex(dict(spaces), *(
+        {(p, q): _canonical(spaces[(p + dp, q + dq)], spaces[(p, q)], e)
+         for (p, q), e in maps.items()}
+        for maps, dp, dq in ((dels, 1, 0), (delbars, 0, 1))
+    ))
     # wherever either side stores a map: there an absent one is zero, so a
     # map the model lacks must vanish on C
     for maps, model_maps, dc_map, model_map, (dp, dq) in (
@@ -364,8 +456,7 @@ def decompose(dc: DoubleComplex, tables: dict | None = None) -> Decomposition:
                 )
 
     grouped: list[tuple[Shape, int]] = []
-    for part in raw:
-        shape = _shape_of(part)
+    for shape, _ in ranked:
         if grouped and grouped[-1][0] == shape:
             grouped[-1] = (shape, grouped[-1][1] + 1)
         else:

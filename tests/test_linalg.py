@@ -242,6 +242,22 @@ def test_echelon_keeps_copies_of_what_it_is_given(seed, nrows, ncols):
     assert (ech.cols, ech.ops) == before
 
 
+def test_echelon_negates_a_low_of_minus_one(monkeypatch):
+    # a low of -1 is negated, not inverted; what is stored is the column
+    # and ops scaled by the inverse of the low, as for any other low
+    inverses = []
+    original = type(ONE).inverse
+    monkeypatch.setattr(type(ONE), "inverse", lambda s: inverses.append(s) or original(s))
+    for low in (sc(-1), sc(2), sc(0, -1)):
+        col, ops = {0: sc(3, 1), 2: low}, {0: sc(1, 2), 1: sc(-1)}
+        ech = Echelon()
+        assert ech.add(dict(col), dict(ops)) == 2
+        inv = original(low)
+        assert ech.cols[2] == {i: inv * v for i, v in col.items()}
+        assert ech.ops[2] == {i: inv * v for i, v in ops.items()}
+    assert sc(-1) not in inverses and len(inverses) == 2
+
+
 # Gaussian integers (d = 1, some with imaginary parts) and d != 1 values,
 # so both the integer paths and the general ones run, and mix
 MIXED = [sc(1), sc(-1), sc(2), sc(0, 1), sc(1, -1), sc(-2, 3),

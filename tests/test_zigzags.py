@@ -6,6 +6,7 @@ import pytest
 
 from bicomplex import (
     InternalError,
+    Matrix,
     Square,
     ValidationError,
     Zigzag,
@@ -215,6 +216,28 @@ def test_shrink_refuses_a_leaking_basis(monkeypatch):
     monkeypatch.setattr(zigzags, "_shrink", corrupted)
     with pytest.raises(InternalError, match="leaks outside the active subspace"):
         decompose(shuffled)
+
+
+def test_spent_space_drops_its_maps_and_refuses_a_leak():
+    # shrinking a space to nothing drops its maps from the active complex,
+    # so nothing later multiplies them; a nonzero map into it is a leak
+    dc = zigzags._zigzag_complex([(0, 0), (1, 0), (1, 1)])
+
+    def active():
+        act = {pq: Matrix.identity(n) for pq, n in dc.spaces.items()}
+        return act, DoubleComplex(dict(dc.spaces), dict(dc.del_maps), dict(dc.delbar_maps))
+
+    def spend(act, cur, pq):
+        zigzags._shrink(act, cur, pq, Matrix.zero(cur.dim(*pq), 0))
+
+    with pytest.raises(InternalError, match="leaks outside the active subspace"):
+        spend(*active(), (1, 0))
+    act, cur = active()
+    spend(act, cur, (0, 0))
+    assert list(cur.delbar_maps) == [(1, 0)]
+    spend(act, cur, (1, 0))
+    assert cur.del_maps == cur.delbar_maps == {}
+    assert (act[(1, 0)].nrows, act[(1, 0)].ncols, cur.dim(1, 0)) == (1, 0, 0)
 
 
 def _corrupt_zigzags(monkeypatch, corrupt):
