@@ -27,7 +27,6 @@ from .complexes import (
     direct_sum,
     dolbeault_table,
     euler_characteristic,
-    labeled_real_structure,
     tensor_product,
     transpose_complex,
 )

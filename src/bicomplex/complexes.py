@@ -394,6 +394,10 @@ class SimpleComplex:
         )
 
 
+def _copy(c: SimpleComplex) -> SimpleComplex:
+    return SimpleComplex(dict(c.spaces), dict(c.maps))
+
+
 def tensor_product(a: SimpleComplex, b: SimpleComplex) -> DoubleComplex:
     """Bicomplex A tensor B: del = d_A (x) id, delbar = (-1)^p id (x) d_B.
 
@@ -413,7 +417,8 @@ def tensor_product(a: SimpleComplex, b: SimpleComplex) -> DoubleComplex:
             m = kron(Matrix.identity(a.dim(p)), b.maps[q])
             delbar_maps[(p, q)] = -m if p % 2 else m
     dc = DoubleComplex.build(spaces, del_maps, delbar_maps)
-    dc.factors = ((a, b, dict.fromkeys(dc.spaces, 0)),)
+    # copies, so that a caller changing a or b later leaves the record true
+    dc.factors = ((_copy(a), _copy(b), dict.fromkeys(dc.spaces, 0)),)
     return dc
 
 
@@ -473,6 +478,9 @@ class RealStructure:
 
     sigma[(p, q)] is the matrix S with sigma(v) = S @ conj(v) in
     coordinates, mapping (p, q) coordinates to (q, p) coordinates.
+    Every builder's sigma follows one rule, conjugation of forms
+    x (x) y -> (-1)^{pq} ybar (x) xbar on twisted exterior algebras,
+    written down once in `labeled_tensor_sum`.
     """
 
     sigma: dict[Bidegree, Matrix]
@@ -519,57 +527,44 @@ def check_real_structure(dc: DoubleComplex, rs: RealStructure) -> list[str]:
     return problems
 
 
-def labeled_real_structure(
-    dc: DoubleComplex,
-    labels: dict[Bidegree, list],
-    mapper,
-) -> RealStructure:
-    """Assemble sigma from an involution on basis labels.
+def labeled_tensor_sum(blocks: list) -> tuple[DoubleComplex, RealStructure]:
+    """Direct sum of tensor products, with sigma conjugation of forms.
 
-    labels[(p, q)] lists hashable labels in coordinate order and
-    mapper(p, q, label) names the (q, p)-label it is sent to.  Every
-    entry carries the sign (-1)^{pq}; conjugation of coordinates is
-    implicit in the RealStructure convention.
+    Each block is (a, a_twist, a_labels, b, b_twist, b_labels): the
+    holomorphic and antiholomorphic exterior complexes of its summand
+    tensor_product(a, b), the twist dicts they were built with, and their
+    basis subsets per degree.  The basis vector (i, j) in bidegree (p, q)
+    is labelled (hol twist, anti twist, a_labels[p][i], b_labels[q][j]),
+    a twist written as sorted (generator, scalar) pairs.  The one rule:
+    sigma sends that label to (conj anti twist, conj hol twist, anti
+    subset, hol subset) with sign (-1)^{pq}, i.e. x (x) y -> ybar (x) xbar.
+    A twist and a subset fix the form, so a repeated label, like a
+    missing target label, is an InternalError; so is a result failing the
+    axioms or the sigma checks, the builders having validated their data.
     """
-    index = {
-        pq: {lab: i for i, lab in enumerate(labs)} for pq, labs in labels.items()
-    }
-    sigma: dict[Bidegree, Matrix] = {}
-    for (p, q) in dc.bidegrees():
-        tgt_index = index.get((q, p), {})
-        entries = {}
-        for col, lab in enumerate(labels[(p, q)]):
-            tlab = mapper(p, q, lab)
-            row = tgt_index.get(tlab)
-            if row is None:
-                raise InternalError(
-                    f"sigma target label missing at ({q},{p}): {tlab!r}"
-                )
-            sign = MINUS_ONE if (p * q) % 2 else ONE
-            entries[(row, col)] = sign
-        sigma[(p, q)] = Matrix(dc.dim(q, p), dc.dim(p, q), entries)
-    return RealStructure(sigma)
-
-
-def labeled_tensor_sum(blocks: list, mapper) -> tuple[DoubleComplex, RealStructure]:
-    """Direct sum of tensor products, with sigma read off basis labels.
-
-    Each block is (tag, a, a_labels, b, b_labels): its summand is
-    tensor_product(a, b), and the basis vector (i, j) of that summand
-    in bidegree (p, q) is labelled tag + (a_labels[p][i], b_labels[q][j]).
-    mapper is as in labeled_real_structure.  The builders validate their
-    data first, so a result that fails the axioms or the sigma checks is
-    an InternalError.
-    """
-    dc, _ = direct_sum([tensor_product(a, b) for _, a, _, b, _ in blocks])
+    dc, _ = direct_sum([tensor_product(a, b) for a, _, _, b, _, _ in blocks])
     labels: dict[Bidegree, list] = {}
-    for tag, _, a_labels, _, b_labels in blocks:
+    for _, a_twist, a_labels, _, b_twist, b_labels in blocks:
+        hol, anti = tuple(sorted(a_twist.items())), tuple(sorted(b_twist.items()))
+        conj = tuple(tuple((g, v.conjugate()) for g, v in tw) for tw in (anti, hol))
         for p, left in a_labels.items():
             for q, right in b_labels.items():
                 labels.setdefault((p, q), []).extend(
-                    tag + (x, y) for x in left for y in right
+                    ((hol, anti, x, y), conj + (y, x)) for x in left for y in right
                 )
-    rs = labeled_real_structure(dc, labels, mapper)
+    sigma: dict[Bidegree, Matrix] = {}
+    for (p, q) in dc.bidegrees():
+        rows = {lab: i for i, (lab, _) in enumerate(labels.get((q, p), []))}
+        if len(rows) < dc.dim(q, p):
+            raise InternalError(f"basis label repeated at ({q},{p})")
+        sign = MINUS_ONE if (p * q) % 2 else ONE
+        entries = {}
+        for col, (_, tlab) in enumerate(labels[(p, q)]):
+            if tlab not in rows:
+                raise InternalError(f"sigma target label missing at ({q},{p}): {tlab!r}")
+            entries[(rows[tlab], col)] = sign
+        sigma[(p, q)] = Matrix(dc.dim(q, p), dc.dim(p, q), entries)
+    rs = RealStructure(sigma)
     bad = dc.validate()
     if bad:
         raise InternalError("built complex invalid: " + "; ".join(bad))

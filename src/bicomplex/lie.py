@@ -5,9 +5,10 @@ implicit.  The CE differential on generators is d xi^k = -sum_{i<j}
 c_{ij}^k xi^i xi^j, extended as a degree-1 antiderivation; Jacobi is
 exactly d^2 = 0, so `ce_complex` doubles as the validator.
 
-The invariant bicomplex of g is CE(g) tensor conj(CE(g)) together with
-the coordinate-swap real structure, which models left-invariant forms on
-a quotient of the corresponding complex Lie group.
+The invariant bicomplex of g is CE(g) tensor conj(CE(g)) with conjugation
+of forms as its real structure: the untwisted case of the one rule of
+`labeled_tensor_sum`, labels unique as pairs of basis subsets.  It models
+left-invariant forms on a quotient of the corresponding complex Lie group.
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .complexes import (
-    DoubleComplex,
-    RealStructure,
-    SimpleComplex,
-    check_real_structure,
-    labeled_real_structure,
-    tensor_product,
-)
+from .complexes import DoubleComplex, RealStructure, SimpleComplex, labeled_tensor_sum
 from .errors import InternalError, ValidationError
 from .exterior import (
     TwoForms,
@@ -140,18 +134,8 @@ def ce_complex(g: LieAlgebra) -> SimpleComplex:
 
 def invariant_bicomplex(g: LieAlgebra) -> tuple[DoubleComplex, RealStructure]:
     t = ce_complex(g)
-    dc = tensor_product(t, t.conjugate())
-    n = g.dim
-    labels = {
-        (p, q): [(a, b) for a in grade_basis(n, p) for b in grade_basis(n, q)]
-        for p in range(n + 1)
-        for q in range(n + 1)
-    }
-    rs = labeled_real_structure(dc, labels, lambda p, q, lab: (lab[1], lab[0]))
-    problems = check_real_structure(dc, rs)
-    if problems:
-        raise InternalError("invariant bicomplex sigma: " + "; ".join(problems))
-    return dc, rs
+    basis = {p: grade_basis(g.dim, p) for p in range(g.dim + 1)}
+    return labeled_tensor_sum([(t, {}, basis, t.conjugate(), {}, basis)])
 
 
 # -- realification and subalgebras ---------------------------------------------

@@ -20,6 +20,12 @@ tensor products, one block per character value:
 
 Twists only involve generators of weight zero (validated), so every
 block is closed under both differentials.
+
+The real structure is conjugation of forms, the one rule of
+`labeled_tensor_sum`, carrying the blocks of key mu onto those of key
+-mu.  Distinct keys have distinct twists, and the two blocks of one key
+mu share their twists but not their anti subsets (key mu in the first,
+any other key in the second), so every basis label is unique.
 """
 
 from __future__ import annotations
@@ -173,7 +179,7 @@ def build_C(sd: SolvData) -> tuple[DoubleComplex, RealStructure]:
             f2, b2 = exterior_complex(
                 n, dgen_a, twist=tw_a, keep=lambda s, m=mu: keyt[s] == m
             )
-            blocks.append(((mu, 1), f1, b1, f2, b2))
+            blocks.append((f1, tw_h, b1, f2, tw_a, b2))
         if _neg(mu) in fkeys:
             conj_side = (
                 (lambda s, m=mu: keyt[s] != m)
@@ -185,18 +191,9 @@ def build_C(sd: SolvData) -> tuple[DoubleComplex, RealStructure]:
                     n, dgen_h, twist=tw_h, keep=lambda s, m=_neg(mu): keyt[s] == m
                 )
                 f2, b2 = exterior_complex(n, dgen_a, twist=tw_a, keep=conj_side)
-                blocks.append(((mu, 2), f1, b1, f2, b2))
+                blocks.append((f1, tw_h, b1, f2, tw_a, b2))
 
-    def mapper(p: int, q: int, lab):
-        mu, part, hol, anti = lab
-        neg = _neg(mu)
-        if part == 1:
-            tpart = 1 if (neg in fkeys and keyt[hol] == neg) else 2
-        else:
-            tpart = 1
-        return (neg, tpart, anti, hol)
-
-    return labeled_tensor_sum(blocks, mapper)
+    return labeled_tensor_sum(blocks)
 
 
 # -- presets and random data -----------------------------------------------------

@@ -17,6 +17,13 @@ Flags are resolved through the unitary character beta_J gamma_L, i.e.
 through the key m = k_J + conj(h_L) up to sign (a character and its
 inverse restrict trivially together); the summand bookkeeping counts
 the conjugation-overlap (w = 0) blocks exactly once.
+
+The real structure is conjugation of forms, the one rule of
+`labeled_tensor_sum`: the block (ca, cb) twisted on its holomorphic side
+by -w goes to its mirror twisted on its antiholomorphic side by
+-conj(w), and an untwisted (w = 0) block (ca, cb) to the block (cb, ca).
+The subsets' classes fix (ca, cb), and the twisted side fixes which
+block it is, so every basis label is unique.
 """
 
 from __future__ import annotations
@@ -180,14 +187,12 @@ def build_splitting(sp: SplittingData) -> tuple[DoubleComplex, RealStructure]:
     }
 
     blocks = []
-    wkeys: dict[tuple, Key] = {}
     for ca in classes:
         for cb in classes:
             mk = tuple(ca[1][a] + cb[0][a].conjugate() for a in range(n))
             if mk not in fkeys:
                 continue
             w = _w_key(ca, cb)
-            wkeys[(ca, cb)] = w
             tw = {a: -w[a - 1] for a in range(1, n + 1) if w[a - 1]}
             f1, b1 = exterior_complex(
                 total, dgen_h, twist=tw, keep=lambda s, c=ca: cid_of[ypart(s)] == c
@@ -195,26 +200,18 @@ def build_splitting(sp: SplittingData) -> tuple[DoubleComplex, RealStructure]:
             f2, b2 = exterior_complex(
                 total, dgen_a, keep=lambda s, c=cb: cid_of[ypart(s)] == c
             )
-            blocks.append(((0, ca, cb), f1, b1, f2, b2))
-            if any(w):
-                twc = {a: -w[a - 1].conjugate() for a in range(1, n + 1) if w[a - 1]}
+            blocks.append((f1, tw, b1, f2, {}, b2))
+            if tw:
+                twc = {a: v.conjugate() for a, v in tw.items()}
                 f1, b1 = exterior_complex(
                     total, dgen_h, keep=lambda s, c=cb: cid_of[ypart(s)] == c
                 )
                 f2, b2 = exterior_complex(
                     total, dgen_a, twist=twc, keep=lambda s, c=ca: cid_of[ypart(s)] == c
                 )
-                blocks.append(((1, ca, cb), f1, b1, f2, b2))
+                blocks.append((f1, {}, b1, f2, twc, b2))
 
-    def mapper(p: int, q: int, lab):
-        kind, ca, cb, s1, s2 = lab
-        if kind == 0:
-            if any(wkeys[(ca, cb)]):
-                return (1, ca, cb, s2, s1)
-            return (0, cb, ca, s2, s1)
-        return (0, ca, cb, s2, s1)
-
-    return labeled_tensor_sum(blocks, mapper)
+    return labeled_tensor_sum(blocks)
 
 
 def nakamura_splitting_preset(case: str) -> SplittingData:

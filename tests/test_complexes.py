@@ -1,7 +1,11 @@
+import re
+
 import pytest
 
 from bicomplex import (
     DoubleComplex,
+    InternalError,
+    MINUS_ONE,
     Matrix,
     ONE,
     RealStructure,
@@ -16,15 +20,16 @@ from bicomplex import (
     decompose,
     direct_sum,
     euler_characteristic,
-    labeled_real_structure,
     nakamura_preset,
     nakamura_splitting_preset,
+    random_solvable,
     random_zigzag_sum,
     sc,
     shuffle_basis,
     tensor_product,
     transpose_complex,
 )
+from bicomplex.complexes import labeled_tensor_sum
 from conftest import ONE_1x1
 
 
@@ -235,13 +240,48 @@ def test_real_structure_on_conjugation_symmetric_complex():
 
 
 def test_labeled_real_structure_square():
-    dc, _ = catalog_complex("square")
-    labels = {
-        (0, 0): ["a"],
-        (1, 0): ["x"],
-        (0, 1): ["xbar"],
-        (1, 1): ["y"],
-    }
-    swap = {"a": "a", "x": "xbar", "xbar": "x", "y": "y"}
-    rs = labeled_real_structure(dc, labels, lambda p, q, lab: swap[lab])
+    # the square is the tensor product of two one-arrow complexes, and its
+    # sigma the untwisted rule: x (x) y -> (-1)^{pq} ybar (x) xbar
+    arrow = SimpleComplex.build({0: 1, 1: 1}, {0: ONE_1x1})
+    labels = {0: ["a"], 1: ["x"]}
+    dc, rs = labeled_tensor_sum([(arrow, {}, labels, arrow.conjugate(), {}, labels)])
+    # tensor_product's sign puts -1 on delbar at (1, 0), as the catalog does
+    assert dc == catalog_complex("square")[0]
     assert check_real_structure(dc, rs) == []
+
+
+BUILT = {
+    **{f"solvable-{s}": lambda s=s: build_C(random_solvable(s)) for s in range(20)},
+    **{f"nakamura-{c}": lambda c=c: build_C(nakamura_preset(c))
+       for c in ("identically", "real")},
+    **{f"splitting-{c}": lambda c=c: build_splitting(nakamura_splitting_preset(c))
+       for c in ("identically", "real")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_builder_sigma_is_a_signed_permutation(name):
+    # conjugation of forms sends each basis label to exactly one label
+    dc, rs = BUILT[name]()
+    assert sorted(rs.sigma) == sorted(dc.spaces)
+    for pq, s in rs.sigma.items():
+        assert sorted(c for _, c in s.entries) == list(range(s.ncols)), pq
+        assert all(v in (ONE, MINUS_ONE) for v in s.entries.values()), pq
+    assert check_real_structure(dc, rs) == []
+
+
+def test_a_missing_conjugate_block_is_an_internal_error():
+    # a block twisted on its holomorphic side needs a block carrying the
+    # conjugate twist on its antiholomorphic side
+    dot = SimpleComplex.build({0: 1})
+    labels = {0: [()]}
+    missing = ((), ((1, ONE),), (), ())
+    with pytest.raises(InternalError, match=re.escape(repr(missing))):
+        labeled_tensor_sum([(dot, {1: ONE}, labels, dot, {}, labels)])
+
+
+def test_a_repeated_label_is_an_internal_error():
+    dot = SimpleComplex.build({0: 1})
+    block = (dot, {}, {0: [()]}, dot, {}, {0: [()]})
+    with pytest.raises(InternalError, match="repeated"):
+        labeled_tensor_sum([block, block])

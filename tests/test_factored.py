@@ -187,6 +187,15 @@ def test_a_record_that_does_not_fit_is_an_internal_error():
         decompose(bad)
 
 
+def test_the_factor_record_outlives_a_change_to_the_factors():
+    # the record holds copies: changing a factor afterwards leaves the
+    # complex, and so its decomposition, as built
+    seg = SimpleComplex.build({0: 1, 1: 1}, {0: Matrix(1, 1, {(0, 0): ONE})})
+    dc = tensor_product(seg, seg)
+    seg.maps[0] = Matrix(1, 1, {(0, 0): sc(2)})
+    both_routes(dc)
+
+
 # -- the block model and the factor record ---------------------------------------
 
 

@@ -7,6 +7,7 @@ import pytest
 from bicomplex import (
     BettiVector,
     LieAlgebra,
+    MINUS_ONE,
     Matrix,
     ONE,
     ValidationError,
@@ -36,6 +37,7 @@ from bicomplex import (
     validate_solv,
     validate_splitting,
 )
+from bicomplex.exterior import grade_basis
 from bicomplex.lie import realify, series_terminates, validate_subalgebra
 from conftest import count_calls, run_cli
 
@@ -77,6 +79,20 @@ def test_invariant_bicomplex_shape_and_symmetry():
     for p in range(4):
         for q in range(4):
             assert t["dolbeault"].get((p, q), 0) == t["del"].get((q, p), 0)
+
+
+def test_invariant_bicomplex_sigma_is_the_signed_coordinate_swap():
+    # basis vector (S, T) of (p, q) goes to (-1)^{pq} times (T, S) of (q, p),
+    # with tensor coordinates flattened as index(S) * dim(q) + index(T)
+    dc, rs = invariant_bicomplex(heisenberg3())
+    dim = {p: len(grade_basis(3, p)) for p in range(4)}
+    for (p, q) in dc.spaces:
+        expected = {
+            (j * dim[p] + i, i * dim[q] + j): MINUS_ONE if (p * q) % 2 else ONE
+            for i in range(dim[p])
+            for j in range(dim[q])
+        }
+        assert rs.sigma[(p, q)].entries == expected, (p, q)
 
 
 def test_heisenberg_invariant_de_rham_is_iwasawa_betti():
