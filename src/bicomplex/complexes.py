@@ -253,7 +253,7 @@ def _bott_chern_aeppli(dc: DoubleComplex) -> tuple[dict[Bidegree, int], dict[Bid
     for (p, q), n in dc.spaces.items():
         both = _stacked(dels.get((p, q)), 0, delbars.get((p, q)), dc.dim(p + 1, q))
         bc[(p, q)] = n - rank_columns(both) - dd.get((p - 1, q - 1), 0)
-        into = [dict(c) for c in (*dels.get((p - 1, q), ()), *delbars.get((p, q - 1), ()))]
+        into = [*dels.get((p - 1, q), ()), *delbars.get((p, q - 1), ())]
         a[(p, q)] = n - dd.get((p, q), 0) - rank_columns(into)
     return _drop_zeros(bc), _drop_zeros(a)
 

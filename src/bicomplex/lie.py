@@ -25,7 +25,7 @@ from .exterior import (
     exterior_complex,
     grade_basis,
 )
-from .linalg import Matrix, echelon, hstack, kernel, rank, vstack
+from .linalg import Matrix, _columns, hstack, kernel, lows, rank, vstack
 from .scalars import ONE, Scalar, ZERO, sc
 
 
@@ -114,7 +114,7 @@ def series_terminates(g: LieAlgebra, derived: bool) -> bool:
         a = b if derived else Matrix.identity(g.dim)
         cols = hstack([g.bracket_vectors(a.column(i), b.column(j))
                        for i in range(a.ncols) for j in range(b.ncols)])
-        nxt = cols.columns(sorted(echelon(cols)[1]))
+        nxt = cols.columns([j for j, low in enumerate(lows(_columns(cols))) if low is not None])
         if nxt.ncols >= b.ncols:
             return False
         b = nxt

@@ -1,13 +1,17 @@
 """Sparse exact linear algebra over Q(i).
 
 Matrices are stored as dicts mapping (row, col) -> Scalar with no zero
-entries.  `Echelon` keys sparse columns by their largest row; every
-rank, kernel and pivot set (`rank`, `kernel`, the spectral reductions,
-both phases of decomposition) is read off `echelon(m)`, m's columns
-added left to right.  `rref` (leftmost pivot column, then smallest row)
-serves reduced forms only: `solve_right`, `inverse` and `rcef`, i.e.
-`Subspace`.  Both find the same pivot columns, those outside the span
-of the columns before them.  Every result is deterministic.
+entries.  Column elimination keys sparse columns by their low, their
+largest row, with columns added left to right.  Every elimination that
+reads only lows (`rank`, `rank_columns`, a pivot set, the pairs of the
+spectral pages) runs on `lows`, which reduces on raw ints and builds no
+Scalar.  Those that track ops, the combinations of the added columns
+(`kernel`, `echelon`, the V of the Hodge pieces, both phases of
+decomposition), run on `Echelon`.  `rref` (leftmost pivot column, then
+smallest row) serves reduced forms only: `solve_right`, `inverse` and
+`rcef`, i.e. `Subspace`.  All find the same pivot columns, those
+outside the span of the columns before them.  Every result is
+deterministic.
 
 `Matrix(...)` validates its entries; a matrix this module derives from
 valid ones (a product, sum, stack, slice, transpose, kernel ...) is
@@ -19,6 +23,7 @@ Gaussian integers inside `Scalar` and build one `Scalar` per result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .scalars import MINUS_ONE, ONE, ZERO, Scalar, _raw, sc
@@ -434,16 +439,23 @@ def echelon(m: Matrix) -> tuple[Echelon, dict[int, int], Matrix]:
     the low of each column outside the span of those before it (rref's
     pivot columns) and the kernel.  Its column for each other column j is
     j's ops: the one null vector that is 1 at j and 0 off j and the pivots."""
-    ech, lows, free = Echelon(), {}, []
-    for j, col in enumerate(_columns(m)):
+    ech, found, free = _echelon(_columns(m))
+    entries = {(i, c): v for c, ops in enumerate(free) for i, v in ops.items()}
+    return ech, found, _canonical(m.ncols, len(free), entries)
+
+
+def _echelon(cols: Sequence[Column]) -> tuple[Echelon, dict[int, int], list[Column]]:
+    """`echelon` on columns, which it reduces in place; the kernel as the
+    ops of the columns that reduce to zero, in order."""
+    ech, found, free = Echelon(), {}, []
+    for j, col in enumerate(cols):
         ops = {j: ONE}
         low = ech.add(col, ops)
         if low is None:
             free.append(ops)
         else:
-            lows[j] = low
-    entries = {(i, c): v for c, ops in enumerate(free) for i, v in ops.items()}
-    return ech, lows, _canonical(m.ncols, len(free), entries)
+            found[j] = low
+    return ech, found, free
 
 
 def kernel(m: Matrix) -> Matrix:
@@ -456,6 +468,84 @@ def rank(m: Matrix) -> int:
 
 
 def rank_columns(cols: Iterable[Column]) -> int:
-    """The rank of the span of sparse columns, which it reduces in place."""
-    ech = Echelon()  # no ops: a bare rank
-    return sum(ech.add(col, {}) is not None for col in cols)
+    """The rank of the span of sparse columns."""
+    return sum(low is not None for low in lows(cols))
+
+
+_Raw = dict[int, tuple[int, int]]  # row -> (a, b), a Gaussian integer numerator
+
+
+def lows(cols: Iterable[Column]) -> list[int | None]:
+    """The low of each column after reducing it by the columns before it,
+    or None where it reduces to zero: the lows `Echelon.add` would give,
+    without ops and without building a Scalar.
+
+    A column is held as (D, {row: (a, b)}), its entries (a + b i)/D, and
+    each pivot is kept scaled to 1 at its low, i.e. (E, {...}) with (E, 0)
+    there.  Clearing a low by a pivot with E = 1 touches the pivot's rows
+    only and stays over D; with E != 1 the column goes over D E and one
+    gcd takes out the common factor.  The input columns are not changed.
+    """
+    pivots: dict[int, tuple[int, _Raw]] = {}
+    out: list[int | None] = []
+    for col in cols:
+        if not col:
+            out.append(None)
+            continue
+        d = 1
+        for v in col.values():
+            if v.d != 1:
+                d = lcm(d, v.d)
+        if d == 1:
+            ent = {i: (v.a, v.b) for i, v in col.items()}
+        else:
+            ent = {i: (v.a * (d // v.d), v.b * (d // v.d)) for i, v in col.items()}
+        low = max(ent)
+        while (piv := pivots.get(low)) is not None:
+            e, p = piv
+            x, y = ent[low]  # c -= (x + y i)/d times p, whose numerators are e at low
+            if e != 1:  # (x + y i)/e in lowest terms; the rest of e goes into d
+                g = gcd(e, x, y)
+                x, y, e = x // g, y // g, e // g
+                if e != 1:
+                    ent = {i: (e * a, e * b) for i, (a, b) in ent.items()}
+                    d *= e
+            for i, (u, w) in p.items():
+                t = ent.get(i)
+                if t is None:
+                    ent[i] = (y * w - x * u, -x * w - y * u)
+                else:
+                    a, b = t[0] - x * u + y * w, t[1] - x * w - y * u
+                    if a or b:
+                        ent[i] = (a, b)
+                    else:
+                        del ent[i]
+            if not ent:
+                low = None
+                break
+            if e != 1:
+                d, ent = _lowest_terms(d, ent)
+            low = max(ent)
+        if low is not None:
+            x, y = ent[low]
+            pivots[low] = (d, ent) if x == d and not y else _unit_lead(x, y, ent)
+        out.append(low)
+    return out
+
+
+def _lowest_terms(d: int, ent: _Raw) -> tuple[int, _Raw]:
+    """(d, ent) with the gcd of d and every numerator divided out."""
+    g = d
+    for a, b in ent.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return d, ent
+    return d // g, {i: (a // g, b // g) for i, (a, b) in ent.items()}
+
+
+def _unit_lead(x: int, y: int, ent: _Raw) -> tuple[int, _Raw]:
+    """A column over any D divided by its lead (x + y i)/D, in lowest terms."""
+    # (a + b i)/(x + y i) = (a + b i)(x - y i)/(x^2 + y^2), D cancelling
+    n = x * x + y * y
+    ent = {i: (a * x + b * y, b * x - a * y) for i, (a, b) in ent.items()}
+    return (1, ent) if n == 1 else _lowest_terms(n, ent)

@@ -7,12 +7,13 @@ the total differential del + delbar (Edelsbrunner-Letscher-Zomorodian,
 filtrations", Expo. Math. 2017).  The cells are the basis vectors of
 all spaces, ordered by descending p, then descending q; in that order
 every F^p is a prefix and del + delbar is strictly upper triangular.
-It is one `linalg.echelon` of that matrix, columns added left to
-right, each pivot being its lowest nonzero row.  A pivot pair with its
-low row at (p_i, q_i) and its column at (p_j, q_j) has length
-r = p_i - p_j: it is a d_r from (p_j, q_j) to (p_i, q_i), so it adds 1
-to E_s at both bidegrees for every 1 <= s <= r and 1 to the rank of d_r
-at (p_j, q_j).
+Its columns are reduced left to right, each pivot being its lowest
+nonzero row, and the pages need only those lows: `spectral_pages`
+reads them off `linalg.lows`, without the column operations.  A pivot
+pair with its low row at (p_i, q_i) and its column at (p_j, q_j) has
+length r = p_i - p_j: it is a d_r from (p_j, q_j) to (p_i, q_i), so it
+adds 1 to E_s at both bidegrees for every 1 <= s <= r and 1 to the
+rank of d_r at (p_j, q_j).
 Pairs of length 0 are cancelled by delbar already on E_0.  Unpaired
 cells count on every page; they make up E_infinity.
 
@@ -28,9 +29,11 @@ table, transposed, for the row pages) and E_infinity against de Rham.
 An entry point that computes its own tables first runs `dc.check()`;
 one given them trusts that dc was validated.
 
-Hodge pieces and purity come from the same two reductions, which track
-the column operations V (de Silva-Morozov-Vejdemo-Johansson, "Dualities
-in persistent (co)homology", 2011).  Unpaired cell j gets the cocycle
+Hodge pieces and purity need the column operations V as well
+(de Silva-Morozov-Vejdemo-Johansson, "Dualities in persistent
+(co)homology", 2011), so `classify` and `hodge_pieces`, and only they,
+run the two reductions as `linalg.echelon`s that track V and read both
+the pages and the pieces off them.  Unpaired cell j gets the cocycle
 z_j = V_j with lowest cell j; the [z_j] with p(j) >= p are a basis of
 F^p H.  The reduced columns and the z_j have distinct lows and span the
 cocycles, so reducing a cocycle by them in one echelon, with z_j
@@ -60,7 +63,18 @@ from .complexes import (
     transpose_complex,
 )
 from .errors import InternalError
-from .linalg import Column, Echelon, Matrix, _columns, echelon, hstack, kernel, rank, vstack
+from .linalg import (
+    Column,
+    Echelon,
+    Matrix,
+    _columns,
+    _echelon,
+    hstack,
+    kernel,
+    lows,
+    rank,
+    vstack,
+)
 from .scalars import ONE
 
 
@@ -92,23 +106,31 @@ class Verdict:
 
 
 @dataclass
-class _Reduction:
-    """The reduction of dc's column filtration (dc is the transpose for
-    "row"): R with its V per low and z_j per unpaired cell j, each 1 at its low."""
+class _Pairing:
+    """The pairs of one persistence reduction of dc's column filtration (dc
+    is the transpose for "row"), as cell indices, and its unpaired cells."""
 
     filtration: str
     dc: DoubleComplex
     cells: list[Bidegree]
-    start: dict[Bidegree, int]
     pairs: list[tuple[int, int]]  # (low, column)
+    unpaired: list[int]
+
+
+@dataclass
+class _Reduction(_Pairing):
+    """A pairing with the reduction's R and V: R with its V per low, and z_j
+    per unpaired cell j, each 1 at its low; start is each space's first cell."""
+
+    start: dict[Bidegree, int]
     echelon: Echelon
     cocycles: dict[int, Column]
 
 
-def _reduce(dc: DoubleComplex, filtration: str) -> _Reduction:
-    """The persistence reduction of one filtration: one `echelon` of the
-    total differential in cell order.  The lows give the pairs; kernel
-    column V_j, 1 at its low j, is z_j unless j is a low, where it bounds."""
+def _total(dc: DoubleComplex, filtration: str
+           ) -> tuple[DoubleComplex, list[Bidegree], dict[Bidegree, int], list[Column]]:
+    """dc (its transpose for "row"), its cells in filtration order with the
+    first cell of each space, and the columns of d = del + delbar on them."""
     if filtration == "row":
         dc = transpose_complex(dc)
     elif filtration != "col":
@@ -119,36 +141,57 @@ def _reduce(dc: DoubleComplex, filtration: str) -> _Reduction:
     for pq in order:
         start[pq] = len(cells)
         cells += [pq] * dc.spaces[pq]
-    entries = {}
-    for (p, q) in order:  # d = del + delbar from the stored maps
+    cols: list[Column] = [{} for _ in cells]
+    for (p, q) in order:  # d from the stored maps
         for maps, tgt in ((dc.del_maps, (p + 1, q)), (dc.delbar_maps, (p, q + 1))):
             if (p, q) in maps:
                 for (r, c), v in maps[(p, q)].entries.items():
-                    entries[(start[tgt] + r, start[(p, q)] + c)] = v
-    ech, lows, ker = echelon(Matrix(len(cells), len(cells), entries))  # R per low, V as ops
-    pairs = [(low, j) for j, low in lows.items()]
-    bounded = set(lows.values())
-    cocycles = {max(z): z for z in _columns(ker) if max(z) not in bounded}
-    return _Reduction(filtration, dc, cells, start, pairs, ech, cocycles)
+                    cols[start[(p, q)] + c][start[tgt] + r] = v
+    return dc, cells, start, cols
+
+
+def _pair(dc: DoubleComplex, filtration: str) -> _Pairing:
+    """The pairs of one filtration from the lows alone: column j pairs with
+    its low, and a cell that has no low and is no low is unpaired."""
+    dc, cells, _, cols = _total(dc, filtration)
+    found = lows(cols)
+    pairs = [(low, j) for j, low in enumerate(found) if low is not None]
+    bounded = {low for low, _ in pairs}
+    unpaired = [j for j, low in enumerate(found) if low is None and j not in bounded]
+    return _Pairing(filtration, dc, cells, pairs, unpaired)
+
+
+def _reduce(dc: DoubleComplex, filtration: str) -> _Reduction:
+    """The persistence reduction of one filtration, tracking V: one
+    echelon of the total differential in cell order.  The lows give the
+    pairs; kernel column V_j, 1 at its low j, is z_j unless j is a low,
+    where it bounds."""
+    dc, cells, start, cols = _total(dc, filtration)
+    ech, found, free = _echelon(cols)  # R per low, V as ops
+    pairs = [(low, j) for j, low in found.items()]
+    bounded = set(found.values())
+    cocycles = {max(z): z for z in free if max(z) not in bounded}
+    return _Reduction(filtration, dc, cells, pairs, sorted(cocycles), start, ech, cocycles)
 
 
 def spectral_pages(dc: DoubleComplex, filtration: str = "col",
                    de_rham: dict | None = None) -> list[SpectralPage]:
     """All pages through the hard vanishing bound, with d_r ranks.
 
-    Read off one column reduction (see the module docstring).  The page
-    dims are checked against the rank recursion, page 1 against the
-    Dolbeault table (resp. the del table read through the transpose) and
-    the last page against de Rham dimensions degree by degree.  Given
-    de_rham, trusts that dc was validated; else checks dc first.
+    Read off the lows of one column reduction (see the module
+    docstring).  The page dims are checked against the rank recursion,
+    page 1 against the Dolbeault table (resp. the del table read through
+    the transpose) and the last page against de Rham dimensions degree by
+    degree.  Given de_rham, trusts that dc was validated; else checks dc
+    first.
     """
     if de_rham is None:
         de_rham = de_rham_table(dc.check())
-    return _checked_pages(_reduce(dc, filtration), de_rham)
+    return _checked_pages(_pair(dc, filtration), de_rham)
 
 
-def _checked_pages(red: _Reduction, de_rham: dict, e1: dict | None = None) -> list[SpectralPage]:
-    """The pages of one reduction, checked against the de Rham table and
+def _checked_pages(red: _Pairing, de_rham: dict, e1: dict | None = None) -> list[SpectralPage]:
+    """The pages of one pairing, checked against the de Rham table and
     the E_1 table in the lattice the pages live in (by default the
     Dolbeault table of red.dc: for the row pages, the del table transposed)."""
     if e1 is None:
@@ -159,7 +202,7 @@ def _checked_pages(red: _Reduction, de_rham: dict, e1: dict | None = None) -> li
     last_page = max(2, bound + 2)
 
     pairs = [(red.cells[i], red.cells[j]) for i, j in red.pairs]
-    unpaired = Counter(red.cells[j] for j in red.cocycles)
+    unpaired = Counter(red.cells[j] for j in red.unpaired)
     pages: list[SpectralPage] = []
     prev: SpectralPage | None = None
     for r in range(1, last_page + 1):

@@ -74,6 +74,7 @@ from .linalg import (
     hstack,
     inverse,
     kernel,
+    lows,
     rank,
 )
 from .scalars import MINUS_ONE, ONE, Scalar, sc
@@ -335,10 +336,8 @@ def _pieces(c: SimpleComplex) -> list[tuple[int, list[Column]]]:
         if (m.nrows, m.ncols) != (c.dim(p + 1), c.dim(p)):
             raise InternalError(f"factor map at {p} has the wrong shape")
         _, piv, ker = echelon(m)
-        seen = Echelon()  # no ops: a bare span
-        for y in images.get(p, ()):
-            seen.add(dict(y), {})
-        pieces += [(p, [z]) for z in _columns(ker) if seen.add(dict(z), {}) is not None]
+        ims, zs = images.get(p, []), _columns(ker)  # a z with a low is off their span
+        pieces += [(p, [z]) for z, low in zip(zs, lows(ims + zs)[len(ims):]) if low is not None]
         cols = _columns(m)
         for j in piv:
             pieces.append((p, [{j: ONE}, cols[j]]))

@@ -20,6 +20,7 @@ from bicomplex import (
     cli,
     complexes,
     linalg,
+    nakamura_preset,
     parse_bicomplex,
     random_solvable,
     random_zigzag_sum,
@@ -564,20 +565,31 @@ MACHINE_PINS = {
     "solv nakamura:real": (0, "1da472c9f98f8e13f470e203f52c2bfb23f67cac62783ac0864f873318e3f46c"),
     "splitting nakamura:identically": (0, "9be2d93bb34ceeda9d392cc7c0a9b8ed3a8c1ffafae8a221e9c6984d5bd059cc"),
     "splitting nakamura:real": (0, "1da472c9f98f8e13f470e203f52c2bfb23f67cac62783ac0864f873318e3f46c"),
+    # a file: the real Nakamura complex in a shuffled basis, pivot leads off +-1
+    "fss --filtration both shuffled:nakamura:real": (0, "50a36918b63cd1b8f6dc2a3f73d62b7fb0dc2e1b9c6c474b0ca132f77cbe18fa"),
+    "cohomology shuffled:nakamura:real": (0, "50336539f560efc18e457bfce03c8b0fad71130bd1a34ecf368dd075c13245ef"),
 }
 
 
-def _pinned_runs() -> list[list[str]]:
+def _pinned_runs(shuffled: Path) -> list[list[str]]:
+    """The pinned runs; the name shuffled:nakamura:real stands for the file
+    shuffled."""
     runs = [[*verb, f"catalog:{name}"] for name in catalog_names()
             for verb in (["classify"], ["decompose"], ["cohomology"],
                          ["fss", "--filtration", "both"])]
-    return runs + [[verb, f"nakamura:{case}"] for verb in ("solv", "splitting")
-                   for case in ("identically", "real")]
+    runs += [[verb, f"nakamura:{case}"] for verb in ("solv", "splitting")
+             for case in ("identically", "real")]
+    shuffled.write_text(write_bicomplex(
+        shuffle_basis(build_C(nakamura_preset("real"))[0], 10**6)))
+    return runs + [[*verb, str(shuffled)] for verb in (["fss", "--filtration", "both"],
+                                                       ["cohomology"])]
 
 
-def test_machine_reports_are_pinned(capsys):
+def test_machine_reports_are_pinned(capsys, tmp_path):
+    shuffled = tmp_path / "shuffled.bicomplex"
     got = {}
-    for argv in _pinned_runs():
+    for argv in _pinned_runs(shuffled):
         code, out = run_cli(capsys, [*argv, "--format", "machine"])
-        got[" ".join(argv)] = (code, hashlib.sha256(out.encode()).hexdigest())
+        key = " ".join(argv).replace(str(shuffled), "shuffled:nakamura:real")
+        got[key] = (code, hashlib.sha256(out.encode()).hexdigest())
     assert got == MACHINE_PINS

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from bicomplex import (
     solve_right,
     vstack,
 )
-from bicomplex.linalg import Echelon, _apply, _columns, _subtract, echelon
+from bicomplex.linalg import Echelon, _apply, _columns, _subtract, echelon, lows
 from conftest import random_matrix
 from scalar_oracle import PairScalar
 
@@ -334,3 +335,63 @@ def test_derived_matrices_are_canonical():
     for seed in range(60):
         for m in derived(random.Random(seed)):
             assert Matrix(m.nrows, m.ncols, dict(m.entries)) == m
+
+
+# -- the lows kernel ---------------------------------------------------------
+
+
+def _echelon_lows(cols):
+    """The oracle: each column's low after Echelon.add, ops untracked."""
+    ech = Echelon()
+    return [ech.add(dict(c), {}) for c in cols]
+
+
+def _lows_matrix(rng: random.Random, nrows: int, nfree: int, ndep: int, nzero: int,
+                 dens: tuple[int, ...]) -> Matrix:
+    """Entries (a + b i)/d with d drawn from dens, b often nonzero; then
+    scaled copies of earlier columns and zero columns, shuffled in."""
+    def entry():
+        return sc(Fraction(rng.randint(-4, 4), rng.choice(dens)),
+                  Fraction(rng.choice((0, 0, rng.randint(-3, 3))), rng.choice(dens)))
+
+    cols = [{r: v for r in range(nrows) if rng.random() < 0.6 and (v := entry())}
+            for _ in range(nfree)]
+    for _ in range(ndep):
+        f = sc(Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice(dens)), rng.randint(-2, 2))
+        cols.append({r: f * v for r, v in rng.choice(cols).items()} if cols else {})
+    cols += [{} for _ in range(nzero)]
+    rng.shuffle(cols)
+    return Matrix(nrows, len(cols), {(r, c): v for c, col in enumerate(cols)
+                                     for r, v in col.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(0, 6), st.integers(0, 4),
+       st.integers(0, 2), st.sampled_from([(1,), (1, 2), (1, 3), (1, 2, 3, 6)]))
+def test_lows_agree_with_echelon(seed, nrows, nfree, ndep, nzero, dens):
+    m = _lows_matrix(random.Random(seed), nrows, nfree, ndep, nzero, dens)
+    cols = _columns(m)
+    before = [dict(c) for c in cols]
+    assert lows(cols) == _echelon_lows(cols)
+    assert cols == before  # the input is left as it was
+    assert rank(m) == len(rref(m)[1])
+
+
+def _dense_gaussian(rng: random.Random, n: int, bound: int) -> list[dict]:
+    def entry():
+        return sc(rng.randint(-bound, bound), rng.randint(-bound, bound))
+
+    return [{r: v for r in range(n) if (v := entry())} for _ in range(n)]
+
+
+@pytest.mark.parametrize("n, bound", [(20, 2), (40, 1000)])
+def test_rank_stays_polynomial_on_dense_input(n, bound):
+    # every pivot is scaled to 1 at its low, so coefficients stay the size of
+    # the exact values; a kernel that only divides out content (fraction-free,
+    # unnormalized) grows exponentially here and takes minutes at 40 x 40
+    cols = _dense_gaussian(random.Random(n), n, bound)
+    m = Matrix(n, n, {(r, c): v for c, col in enumerate(cols) for r, v in col.items()})
+    t0 = time.perf_counter()
+    got = rank(m)
+    assert time.perf_counter() - t0 < 2.0
+    assert got == sum(low is not None for low in _echelon_lows(cols))

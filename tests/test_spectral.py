@@ -12,6 +12,7 @@ from bicomplex import (
     build_C,
     build_splitting,
     catalog_complex,
+    catalog_names,
     classify,
     decompose,
     degeneration_page,
@@ -20,6 +21,7 @@ from bicomplex import (
     lie_by_name,
     nakamura_preset,
     nakamura_splitting_preset,
+    random_solvable,
     random_zigzag_sum,
     shuffle_basis,
     spectral_pages,
@@ -223,14 +225,44 @@ def test_pages_match_definitional_oracle(case, filtration):
 def test_postconditions_catch_a_wrong_pairing(monkeypatch):
     # dropping every unpaired cell leaves E_1 short of the Dolbeault table
     dc = staircase(5)
+    pair = spectral._pair
+    monkeypatch.setattr(
+        spectral,
+        "_pair",
+        lambda dc, filtration: dataclasses.replace(pair(dc, filtration), unpaired=[]),
+    )
+    with pytest.raises(InternalError, match="Dolbeault"):
+        spectral_pages(dc, "col")
+
+
+def test_postconditions_catch_a_wrong_reduction(monkeypatch):
+    # the same corruption through classify's V-tracked reduction
+    dc = staircase(5)
     reduce = spectral._reduce
     monkeypatch.setattr(
         spectral,
         "_reduce",
-        lambda dc, filtration: dataclasses.replace(reduce(dc, filtration), cocycles={}),
+        lambda dc, filtration: dataclasses.replace(reduce(dc, filtration),
+                                                   unpaired=[], cocycles={}),
     )
     with pytest.raises(InternalError, match="Dolbeault"):
-        spectral_pages(dc, "col")
+        classify(dc)
+
+
+def _agreement_cases():
+    yield from (catalog_complex(name)[0] for name in catalog_names())
+    yield from (staircase(n) for n in range(4, 9))
+    yield from (shuffle_basis(random_zigzag_sum(s)[0], s + 10**6) for s in range(50))
+    yield build_C(random_solvable(0))[0]
+
+
+def test_pages_from_lows_equal_classify_pages():
+    # spectral_pages pairs from the lows alone, classify from the V-tracked
+    # reduction: the page lists must be the same in both filtrations
+    for dc in _agreement_cases():
+        _, col, row = classify(dc)
+        assert spectral_pages(dc, "col") == col
+        assert spectral_pages(dc, "row") == row
 
 
 def _corrupt_row_cocycle(monkeypatch, corrupt):
