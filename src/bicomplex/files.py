@@ -1,31 +1,36 @@
 """Plain-text file formats.
 
-All formats share the same envelope: one record per line, fields
-separated by whitespace, `#` starts a comment, blank lines ignored.
+All formats share one envelope, read by `_read`: one record per line,
+fields separated by whitespace, `#` starts a comment, blank lines
+ignored.  Each record but gamma_trivial takes a fixed number of
+fields (phi's count depends on `abelian`).  The headers dim, abelian
+and nilp_dim each appear at most once, and a keyed record at most once
+per key, its leading integer fields (in [brackets] below); a repeat is
+a ParseError.
 Scalars use the literal grammar of `scalars.parse_scalar`.
 
-bicomplex   space <p> <q> <dim>
-            del <p> <q> <row> <col> <scalar>
-            delbar <p> <q> <row> <col> <scalar>
+bicomplex   space [<p> <q>] <dim>
+            del [<p> <q> <row> <col>] <scalar>
+            delbar [<p> <q> <row> <col>] <scalar>
             bidegrees and matrix indices 0-based; omitted entries zero;
             dims summing past MAX_TOTAL_DIM, or spaces whose bounding
             box holds more bidegrees, are a ValidationError.
 
 lie algebra dim <n>
-            bracket <i> <j> <k> <scalar>        # [X_i,X_j] has c X_k, i<j, 1-based
+            bracket [<i> <j> <k>] <scalar>      # [X_i,X_j] has c X_k, i<j, 1-based
             2^n past MAX_TOTAL_DIM is a ValidationError.
 
 subalgebra  gen <scalar> ... <scalar>           # one generator per line
 
 solvable    lie-algebra lines, plus
-            weight <i> <j> <scalar>             # a_i(X_j), 1-based
+            weight [<i> <j>] <scalar>           # a_i(X_j), 1-based
             gamma_trivial all | identically | { <i> ... }
             4^n past MAX_TOTAL_DIM is a ValidationError.
 
 splitting   abelian <n>
             nilp_dim <m>
-            nilp_bracket <i> <j> <k> <scalar>
-            phi <j> <hol x n> <antihol x n>
+            nilp_bracket [<i> <j> <k>] <scalar>
+            phi [<j>] <hol x n> <antihol x n>   # fiber generator j = 1..m
             gamma_trivial all | identically | { <j> ... } ; { <l> ... }
             4^(n + m) past MAX_TOTAL_DIM is a ValidationError.
 
@@ -41,15 +46,37 @@ from .lie import LieAlgebra
 from .linalg import Matrix
 from .scalars import Scalar, ZERO, format_scalar, parse_scalar
 from .solvable import SolvData
-from .splitting import Character, PairFlag, SplittingData
+from .splitting import Character, SplittingData
+
+Lines = list[tuple[int, list[str]]]  # (line number, fields) per record
+Records = dict[str, Lines]
 
 
-def _records(text: str):
-    """Yield (line_number, tokens) for every non-empty record."""
+def _arity(name: str, fields: list[str], n: int, lineno: int) -> None:
+    if len(fields) != n:
+        raise ParseError(f"line {lineno}: {name} takes {n} fields, got {len(fields)}")
+
+
+def _read(text: str, fields: dict[str, int | None]) -> Records:
+    """Each record name's (line, fields) list in file order.
+
+    A record must be named in `fields` and carry fields[name] fields;
+    None leaves the count to the caller.
+    """
+    out: Records = {name: [] for name in fields}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        name = toks[0]
+        if name not in out:
+            raise ParseError(f"line {lineno}: unknown record {name!r}")
+        n = fields[name]
+        del toks[0]
+        if n is not None and len(toks) != n:
+            _arity(name, toks, n, lineno)
+        out[name].append((lineno, toks))
+    return out
 
 
 def _int(tok: str, lineno: int, what: str = "integer") -> int:
@@ -66,11 +93,33 @@ def _scalar(tok: str, lineno: int) -> Scalar:
         raise ParseError(f"line {lineno}: malformed scalar {tok!r}") from None
 
 
-def _arity(tokens: list[str], n: int, lineno: int) -> None:
-    if len(tokens) != n:
-        raise ParseError(
-            f"line {lineno}: {tokens[0]} takes {n - 1} fields, got {len(tokens) - 1}"
-        )
+def _header(records: Records, name: str) -> int:
+    """The value of a required header record that appears once: a count."""
+    lines = records[name]
+    if not lines:
+        raise ParseError(f"missing {name} record")
+    if len(lines) > 1:
+        raise ParseError(f"line {lines[1][0]}: duplicate {name}")
+    lineno, (tok,) = lines[0]
+    n = _int(tok, lineno)
+    if n < 0:
+        raise ParseError(f"line {lineno}: negative dimension in {name}")
+    return n
+
+
+def _keyed(lines: Lines, name: str, nkey: int) -> dict[tuple[int, ...], tuple[int, list[str]]]:
+    """{key: (line, fields after it)} in file order, the key being the
+    first nkey fields as integers; a key given twice is a ParseError."""
+    out: dict[tuple[int, ...], tuple[int, list[str]]] = {}
+    for lineno, fs in lines:
+        try:
+            key = tuple(map(int, fs[:nkey]))
+        except ValueError:
+            key = tuple(_int(tok, lineno) for tok in fs[:nkey])  # raises, naming the token
+        if key in out:
+            raise ParseError(f"line {lineno}: duplicate {name} {' '.join(fs[:nkey])}")
+        out[key] = (lineno, fs[nkey:])
+    return out
 
 
 # -- bicomplex files -----------------------------------------------------------
@@ -85,61 +134,40 @@ def _within_budget(log2_dim: int, what: str) -> None:
 
 
 def parse_bicomplex(text: str) -> DoubleComplex:
+    records = _read(text, {"space": 3, "del": 5, "delbar": 5})
     spaces: dict[Bidegree, int] = {}
-    raw_entries: dict[str, dict[Bidegree, dict[tuple[int, int], Scalar]]] = {
-        "del": {},
-        "delbar": {},
-    }
-    deferred: list[tuple[int, str, int, int, int, int, Scalar]] = []
     total = 0
-    for lineno, toks in _records(text):
-        kind = toks[0]
-        if kind == "space":
-            _arity(toks, 4, lineno)
-            p, q, dim = (_int(t, lineno) for t in toks[1:])
-            if (p, q) in spaces:
-                raise ParseError(f"line {lineno}: duplicate space ({p},{q})")
-            if dim <= 0:
-                raise ParseError(f"line {lineno}: dimension must be positive")
-            spaces[(p, q)] = dim
-            total += dim
-            if total > MAX_TOTAL_DIM:
-                raise ValidationError(f"line {lineno}: total dimension {total} > {MAX_TOTAL_DIM}")
-        elif kind in ("del", "delbar"):
-            _arity(toks, 6, lineno)
-            p, q, row, col = (_int(t, lineno) for t in toks[1:5])
-            deferred.append((lineno, kind, p, q, row, col, _scalar(toks[5], lineno)))
-        else:
-            raise ParseError(f"line {lineno}: unknown record {kind!r}")
+    for pq, (lineno, (tok,)) in _keyed(records["space"], "space", 2).items():
+        dim = spaces[pq] = _int(tok, lineno)
+        if dim <= 0:
+            raise ParseError(f"line {lineno}: dimension must be positive")
+        total += dim
+        if total > MAX_TOTAL_DIM:
+            raise ValidationError(f"line {lineno}: total dimension {total} > {MAX_TOTAL_DIM}")
     if spaces:  # reports and engines walk the whole box: pages, degrees, grids
         ps, qs = [p for p, _ in spaces], [q for _, q in spaces]
         box = (max(ps) - min(ps) + 1) * (max(qs) - min(qs) + 1)
         if box > MAX_TOTAL_DIM:
             raise ValidationError(f"bidegrees span a box of {box} > {MAX_TOTAL_DIM}")
-    for lineno, kind, p, q, row, col, value in deferred:
-        tgt = (p + 1, q) if kind == "del" else (p, q + 1)
-        if (p, q) not in spaces or tgt not in spaces:
-            raise ParseError(
-                f"line {lineno}: {kind} at ({p},{q}) references undeclared space"
-            )
-        if not (0 <= row < spaces[tgt] and 0 <= col < spaces[(p, q)]):
-            raise ParseError(f"line {lineno}: entry ({row},{col}) out of range")
-        slot = raw_entries[kind].setdefault((p, q), {})
-        if (row, col) in slot:
-            raise ParseError(f"line {lineno}: duplicate {kind} entry")
-        slot[(row, col)] = value
-    mats = {
-        kind: {
-            (p, q): Matrix(
-                spaces[(p + 1, q) if kind == "del" else (p, q + 1)],
-                spaces[(p, q)],
-                ent,
-            )
+    maps = []
+    values: dict[str, Scalar] = {}  # each distinct literal is parsed once
+    for kind, (dp, dq) in (("del", (1, 0)), ("delbar", (0, 1))):
+        slots: dict[Bidegree, dict[tuple[int, int], Scalar]] = {}
+        for (p, q, row, col), (lineno, (tok,)) in _keyed(records[kind], kind, 4).items():
+            src, tgt = spaces.get((p, q)), spaces.get((p + dp, q + dq))
+            if src is None or tgt is None:
+                raise ParseError(f"line {lineno}: {kind} at ({p},{q}) references undeclared space")
+            if not (0 <= row < tgt and 0 <= col < src):
+                raise ParseError(f"line {lineno}: entry ({row},{col}) out of range")
+            value = values.get(tok)
+            if value is None:
+                value = values[tok] = _scalar(tok, lineno)
+            slots.setdefault((p, q), {})[(row, col)] = value
+        maps.append({
+            (p, q): Matrix(spaces[(p + dp, q + dq)], spaces[(p, q)], ent)
             for (p, q), ent in slots.items()
-        }
-        for kind, slots in raw_entries.items()
-    }
-    return DoubleComplex.build(spaces, mats["del"], mats["delbar"])
+        })
+    return DoubleComplex.build(spaces, *maps)
 
 
 def write_bicomplex(dc: DoubleComplex) -> str:
@@ -153,187 +181,94 @@ def write_bicomplex(dc: DoubleComplex) -> str:
     return "".join(line + "\n" for line in sorted(lines))
 
 
-# -- Lie algebra files ---------------------------------------------------------
+# -- Lie algebra, solvable and splitting files -----------------------------------
 
 
-def _parse_lie_records(records) -> tuple[LieAlgebra, list]:
-    """Common reader: returns the algebra and the unconsumed records."""
-    n = None
+def _brackets(records: Records, name: str, n: int) -> LieAlgebra:
+    """The n-dim algebra whose structure constants are the `name` records."""
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    rest = []
-    for lineno, toks in records:
-        if toks[0] == "dim":
-            _arity(toks, 2, lineno)
-            if n is not None:
-                raise ParseError(f"line {lineno}: duplicate dim")
-            n = _int(toks[1], lineno)
-            if n < 0:
-                raise ParseError(f"line {lineno}: negative dimension")
-        elif toks[0] == "bracket":
-            _arity(toks, 5, lineno)
-            i, j, k = (_int(t, lineno) for t in toks[1:4])
-            rest.append((lineno, ["_bracket", i, j, k, _scalar(toks[4], lineno)]))
-        else:
-            rest.append((lineno, toks))
-    if n is None:
-        raise ParseError("missing dim record")
-    unconsumed = []
-    for lineno, toks in rest:
-        if toks[0] != "_bracket":
-            unconsumed.append((lineno, toks))
-            continue
-        _, i, j, k, value = toks
+    for (i, j, k), (lineno, (tok,)) in _keyed(records[name], name, 3).items():
         if not (1 <= i < j <= n and 1 <= k <= n):
-            raise ParseError(f"line {lineno}: bracket indices out of range (need i<j)")
+            raise ParseError(f"line {lineno}: {name} indices out of range (need i<j)")
         slot = brackets.setdefault((i, j), {})
-        if k in slot:
-            raise ParseError(f"line {lineno}: duplicate bracket ({i},{j},{k})")
-        if value:
+        if value := _scalar(tok, lineno):
             slot[k] = value
-    return LieAlgebra(n, {ij: cs for ij, cs in brackets.items() if cs}), unconsumed
+    return LieAlgebra(n, {ij: cs for ij, cs in brackets.items() if cs})
+
+
+def _flags(records: Records, count: int, n: int) -> str | frozenset:
+    """The gamma_trivial records: "all", or the set of their `count`
+    subsets `{ i ... }` of 1..n, separated by `;` (one subset alone,
+    not in a tuple).  `identically` adds nothing: the baseline is
+    always flagged."""
+    everything, flags = False, set()
+    for lineno, fs in records["gamma_trivial"]:
+        if fs in (["all"], ["identically"]):
+            everything |= fs == ["all"]
+            continue
+        groups: list[list[str]] = [[]]
+        for tok in fs:
+            if tok == ";":
+                groups.append([])
+            else:
+                groups[-1].append(tok)
+        if len(groups) != count:
+            raise ParseError(f"line {lineno}: gamma_trivial takes {count} subsets split by ';'")
+        subsets = []
+        for g in groups:
+            if len(g) < 2 or g[0] != "{" or g[-1] != "}":
+                raise ParseError(f"line {lineno}: expected '{{ <i> ... }}' in gamma_trivial")
+            subset = frozenset(_int(tok, lineno, "index") for tok in g[1:-1])
+            if not all(1 <= i <= n for i in subset):
+                raise ParseError(f"line {lineno}: subset index out of range")
+            subsets.append(subset)
+        flags.add(subsets[0] if count == 1 else tuple(subsets))
+    return "all" if everything else frozenset(flags)
 
 
 def parse_lie(text: str) -> LieAlgebra:
-    g, rest = _parse_lie_records(list(_records(text)))
-    if rest:
-        lineno, toks = rest[0]
-        raise ParseError(f"line {lineno}: unknown record {toks[0]!r}")
-    _within_budget(g.dim, f"dim {g.dim}: 2^{g.dim} cochains")
-    return g
+    records = _read(text, {"dim": 1, "bracket": 4})
+    n = _header(records, "dim")
+    _within_budget(n, f"dim {n}: 2^{n} cochains")
+    return _brackets(records, "bracket", n)
 
 
 def parse_subalgebra(text: str, ambient_dim: int) -> Matrix:
-    cols: list[list[Scalar]] = []
-    for lineno, toks in _records(text):
-        if toks[0] != "gen":
-            raise ParseError(f"line {lineno}: unknown record {toks[0]!r}")
-        if len(toks) - 1 != ambient_dim:
-            raise ParseError(
-                f"line {lineno}: generator needs {ambient_dim} coordinates"
-            )
-        cols.append([_scalar(t, lineno) for t in toks[1:]])
+    gens = _read(text, {"gen": ambient_dim})["gen"]
     entries = {
-        (r, c): v for c, col in enumerate(cols) for r, v in enumerate(col) if v
+        (r, c): _scalar(tok, lineno)
+        for c, (lineno, fs) in enumerate(gens)
+        for r, tok in enumerate(fs)
     }
-    return Matrix(ambient_dim, len(cols), entries)
-
-
-# -- solvable files ------------------------------------------------------------
-
-
-def _parse_subset(toks: list[str], lineno: int, start: int) -> tuple[frozenset, int]:
-    """Parse `{ i ... }` starting at toks[start]; returns (set, next index)."""
-    if start >= len(toks) or toks[start] != "{":
-        raise ParseError(f"line {lineno}: expected '{{' in gamma_trivial")
-    out = set()
-    k = start + 1
-    while k < len(toks) and toks[k] != "}":
-        out.add(_int(toks[k], lineno, "index"))
-        k += 1
-    if k >= len(toks):
-        raise ParseError(f"line {lineno}: unterminated subset")
-    return frozenset(out), k + 1
+    return Matrix(ambient_dim, len(gens), entries)
 
 
 def parse_solv(text: str) -> SolvData:
-    g, rest = _parse_lie_records(list(_records(text)))
-    n = g.dim
+    records = _read(text, {"dim": 1, "bracket": 4, "weight": 3, "gamma_trivial": None})
+    n = _header(records, "dim")
     _within_budget(2 * n, f"dim {n}: 4^{n} cochains")
+    g = _brackets(records, "bracket", n)
     weights = [[ZERO] * n for _ in range(n)]
-    all_flags = False
-    subsets: set[frozenset[int]] = set()
-    for lineno, toks in rest:
-        if toks[0] == "weight":
-            _arity(toks, 4, lineno)
-            i, j = _int(toks[1], lineno), _int(toks[2], lineno)
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ParseError(f"line {lineno}: weight indices out of range")
-            weights[i - 1][j - 1] = _scalar(toks[3], lineno)
-        elif toks[0] == "gamma_trivial":
-            if len(toks) == 2 and toks[1] == "all":
-                all_flags = True
-            elif len(toks) == 2 and toks[1] == "identically":
-                pass  # baseline, always flagged
-            else:
-                subset, k = _parse_subset(toks, lineno, 1)
-                if k != len(toks):
-                    raise ParseError(f"line {lineno}: trailing tokens")
-                if not all(1 <= i <= n for i in subset):
-                    raise ParseError(f"line {lineno}: subset index out of range")
-                subsets.add(subset)
-        else:
-            raise ParseError(f"line {lineno}: unknown record {toks[0]!r}")
-    flags = "all" if all_flags else frozenset(subsets)
-    return SolvData(g, [tuple(w) for w in weights], flags)
-
-
-# -- splitting files -----------------------------------------------------------
+    for (i, j), (lineno, (tok,)) in _keyed(records["weight"], "weight", 2).items():
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ParseError(f"line {lineno}: weight indices out of range")
+        weights[i - 1][j - 1] = _scalar(tok, lineno)
+    return SolvData(g, [tuple(w) for w in weights], _flags(records, 1, n))
 
 
 def parse_splitting(text: str) -> SplittingData:
-    n = None
-    m = None
-    brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    phi_rows: dict[int, tuple[tuple[Scalar, ...], tuple[Scalar, ...]]] = {}
-    all_flags = False
-    pairs: set[PairFlag] = set()
-    deferred = []
-    for lineno, toks in _records(text):
-        if toks[0] == "abelian":
-            _arity(toks, 2, lineno)
-            n = _int(toks[1], lineno)
-        elif toks[0] == "nilp_dim":
-            _arity(toks, 2, lineno)
-            m = _int(toks[1], lineno)
-        else:
-            deferred.append((lineno, toks))
-    if n is None or n < 0:
-        raise ParseError("missing or negative abelian count")
-    if m is None or m < 0:
-        raise ParseError("missing or negative nilp_dim")
+    records = _read(text, {"abelian": 1, "nilp_dim": 1, "nilp_bracket": 4,
+                           "phi": None, "gamma_trivial": None})
+    n, m = _header(records, "abelian"), _header(records, "nilp_dim")
     _within_budget(2 * (n + m), f"abelian + nilp_dim = {n + m}: 4^{n + m} cochains")
-    for lineno, toks in deferred:
-        if toks[0] == "nilp_bracket":
-            _arity(toks, 5, lineno)
-            i, j, k = (_int(t, lineno) for t in toks[1:4])
-            if not (1 <= i < j <= m and 1 <= k <= m):
-                raise ParseError(f"line {lineno}: bracket indices out of range")
-            slot = brackets.setdefault((i, j), {})
-            if k in slot:
-                raise ParseError(f"line {lineno}: duplicate nilp_bracket")
-            value = _scalar(toks[4], lineno)
-            if value:
-                slot[k] = value
-        elif toks[0] == "phi":
-            _arity(toks, 2 + 2 * n, lineno)
-            j = _int(toks[1], lineno)
-            if not (1 <= j <= m):
-                raise ParseError(f"line {lineno}: phi index out of range")
-            if j in phi_rows:
-                raise ParseError(f"line {lineno}: duplicate phi {j}")
-            vals = [_scalar(t, lineno) for t in toks[2:]]
-            phi_rows[j] = (tuple(vals[:n]), tuple(vals[n:]))
-        elif toks[0] == "gamma_trivial":
-            if len(toks) == 2 and toks[1] == "all":
-                all_flags = True
-            elif len(toks) == 2 and toks[1] == "identically":
-                pass
-            else:
-                left, k = _parse_subset(toks, lineno, 1)
-                if k >= len(toks) or toks[k] != ";":
-                    raise ParseError(f"line {lineno}: expected ';' between subsets")
-                right, k = _parse_subset(toks, lineno, k + 1)
-                if k != len(toks):
-                    raise ParseError(f"line {lineno}: trailing tokens")
-                if not all(1 <= i <= m for i in left | right):
-                    raise ParseError(f"line {lineno}: pair index out of range")
-                pairs.add((left, right))
-        else:
-            raise ParseError(f"line {lineno}: unknown record {toks[0]!r}")
-    zero_key = tuple([ZERO] * n)
-    phi = [
-        Character(*phi_rows.get(j, (zero_key, zero_key))) for j in range(1, m + 1)
-    ]
-    nilp = LieAlgebra(m, {ij: cs for ij, cs in brackets.items() if cs})
-    flags = "all" if all_flags else frozenset(pairs)
-    return SplittingData(n, nilp, phi, flags)
+    for lineno, fs in records["phi"]:
+        _arity("phi", fs, 1 + 2 * n, lineno)
+    zero = tuple([ZERO] * n)
+    phi = [Character(zero, zero)] * m
+    for (j,), (lineno, fs) in _keyed(records["phi"], "phi", 1).items():
+        if not (1 <= j <= m):
+            raise ParseError(f"line {lineno}: phi index out of range")
+        vals = tuple(_scalar(tok, lineno) for tok in fs)
+        phi[j - 1] = Character(vals[:n], vals[n:])
+    nilp = _brackets(records, "nilp_bracket", m)
+    return SplittingData(n, nilp, phi, _flags(records, 2, m))

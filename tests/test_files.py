@@ -56,6 +56,7 @@ space 0 0 1   # trailing comment
         ("space 0 0 1\ndel 0 0 0 0 1\n", "undeclared space"),
         ("space 0 0 1\nspace 1 0 1\ndel 0 0 0 1 1\n", "out of range"),
         ("space 0 0 1\nspace 1 0 1\ndel 0 0 0 0 1\ndel 0 0 0 0 2\n", "duplicate del"),
+        ("space 0 0 1\nspace 0 1 1\ndelbar 0 0 0 0 1\ndelbar 0 0 0 0 1\n", "duplicate delbar"),
         ("spae 0 0 1\n", "unknown record"),
         ("space 0 0 x\n", "expected integer"),
         ("space 0 0 1\nspace 1 0 1\ndel 0 0 0 0 1/0\n", "malformed scalar"),
@@ -117,6 +118,31 @@ def test_parse_error_reports_line_number():
     assert str(exc.value).startswith("line 3:")
 
 
+# a header or a keyed record given twice, the repeat on the last line
+DUPLICATES = [
+    (parse_bicomplex, "space 0 0 1\nspace 0 0 2\n"),
+    (parse_bicomplex, "space 0 0 1\nspace 1 0 1\ndel 0 0 0 0 1\ndel 0 0 0 0 2\n"),
+    (parse_bicomplex, "space 0 0 1\nspace 0 1 1\ndelbar 0 0 0 0 1\ndelbar 0 0 0 0 1\n"),
+    (parse_lie, "dim 3\ndim 3\n"),
+    (parse_lie, "dim 3\nbracket 1 2 3 1\nbracket 1 2 3 2\n"),
+    (parse_solv, "dim 2\ndim 3\n"),
+    (parse_solv, "dim 2\nbracket 1 2 2 1\nbracket 1 2 2 1\n"),
+    (parse_solv, NAK_SOLV_TEXT + "weight 2 1 5\n"),
+    (parse_splitting, "nilp_dim 2\nabelian 1\nabelian 2\n"),
+    (parse_splitting, "abelian 1\nnilp_dim 2\nnilp_dim 1\n"),
+    (parse_splitting, "abelian 1\nnilp_dim 2\nnilp_bracket 1 2 1 1\nnilp_bracket 1 2 1 3\n"),
+    (parse_splitting, "abelian 1\nnilp_dim 2\nphi 1 1 0\nphi 1 0 1\n"),
+]
+
+
+@pytest.mark.parametrize("parse,text", DUPLICATES)
+def test_repeated_header_or_key_is_a_parse_error(parse, text):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value).startswith(f"line {text.count(chr(10))}:")
+    assert "duplicate" in str(exc.value)
+
+
 def test_parse_lie_matches_builtin():
     g = parse_lie("dim 3\nbracket 1 2 3 1\n")
     assert g == heisenberg3()
@@ -169,6 +195,48 @@ def test_parse_solv_flag_forms():
         parse_solv(base + "gamma_trivial { 1\n")
     with pytest.raises(ParseError):
         parse_solv(base + "weight 3 1 1\n")
+
+
+SOLV_BASE = "dim 2\nbracket 1 2 2 1\nweight 2 1 1\n"
+SPLIT_BASE = "abelian 1\nnilp_dim 2\n"
+
+
+@pytest.mark.parametrize(
+    "base,line,flags",
+    [
+        (SOLV_BASE, "all", "all"),
+        (SOLV_BASE, "identically", frozenset()),
+        (SOLV_BASE, "{ }", frozenset({frozenset()})),
+        (SOLV_BASE, "{ 1 2 }", frozenset({frozenset({1, 2})})),
+        (SPLIT_BASE, "{ 1 } ; { }", frozenset({(frozenset({1}), frozenset())})),
+    ],
+)
+def test_gamma_trivial_accepted_forms(base, line, flags):
+    parse = parse_solv if base is SOLV_BASE else parse_splitting
+    assert parse(f"{base}gamma_trivial {line}\n").flags == flags
+
+
+@pytest.mark.parametrize(
+    "base,line",
+    [
+        (SOLV_BASE, "{ 1"),
+        (SOLV_BASE, "all extra"),
+        (SOLV_BASE, "{1}"),
+        (SOLV_BASE, ""),
+        (SOLV_BASE, "{ 3 }"),
+        (SOLV_BASE, "{ 1 } ; { 2 }"),
+        (SPLIT_BASE, "{ 1 }"),
+        (SPLIT_BASE, "{ 1 } ;"),
+        (SPLIT_BASE, "{ 1 } ; { 2 } ; { }"),
+        (SPLIT_BASE, "{ 1 } { 2 }"),
+        (SPLIT_BASE, "; { 1 }"),
+        (SPLIT_BASE, "{ 1 } ; { 3 }"),
+    ],
+)
+def test_gamma_trivial_rejected_forms(base, line):
+    parse = parse_solv if base is SOLV_BASE else parse_splitting
+    with pytest.raises(ParseError):
+        parse(f"{base}gamma_trivial {line}\n")
 
 
 NAK_SPLIT_TEXT = """

@@ -121,3 +121,18 @@ def test_mutated_files_keep_the_exit_contract(workdir, verb, mutations):
         written = write_bicomplex(dc)
         assert parse_bicomplex(written) == dc
         assert write_bicomplex(parse_bicomplex(written)) == written
+
+
+@pytest.mark.parametrize(
+    "verb,text",
+    [
+        ("solv", VALID["solv"] + "weight 2 1 5\n"),
+        ("splitting", VALID["splitting"].replace("abelian 1\n", "abelian 1\nabelian 2\n")),
+    ],
+)
+def test_repeated_records_exit_1(workdir, verb, text):
+    path = workdir / f"repeated.{verb}"
+    path.write_text(text)
+    code, out, err = _run([verb, str(path), "--format", "machine"])
+    assert (code, out, err.count("\n")) == (1, "", 1), err
+    assert err.startswith("parse error: ") and "duplicate" in err
