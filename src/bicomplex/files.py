@@ -7,7 +7,8 @@ fields (phi's count depends on `abelian`).  The headers dim, abelian
 and nilp_dim each appear at most once, and a keyed record at most once
 per key, its leading integer fields (in [brackets] below); a repeat is
 a ParseError.
-Scalars use the literal grammar of `scalars.parse_scalar`.
+Integer fields are -?[0-9]+; scalars use the literal grammar of
+`scalars.parse_scalar`.
 
 bicomplex   space [<p> <q>] <dim>
             del [<p> <q> <row> <col>] <scalar>
@@ -80,10 +81,11 @@ def _read(text: str, fields: dict[str, int | None]) -> Records:
 
 
 def _int(tok: str, lineno: int, what: str = "integer") -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected {what}, got {tok!r}") from None
+    """An integer field: -?[0-9]+, not every literal that int() takes."""
+    digits = tok.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"line {lineno}: expected {what}, got {tok!r}")
+    return int(tok)
 
 
 def _scalar(tok: str, lineno: int) -> Scalar:
@@ -112,7 +114,10 @@ def _keyed(lines: Lines, name: str, nkey: int) -> dict[tuple[int, ...], tuple[in
     first nkey fields as integers; a key given twice is a ParseError."""
     out: dict[tuple[int, ...], tuple[int, list[str]]] = {}
     for lineno, fs in lines:
+        head = "".join(fs[:nkey])  # with no "_", "+" or non-ASCII, int() reads -?[0-9]+
         try:
+            if not head.isascii() or "_" in head or "+" in head:
+                raise ValueError
             key = tuple(map(int, fs[:nkey]))
         except ValueError:
             key = tuple(_int(tok, lineno) for tok in fs[:nkey])  # raises, naming the token

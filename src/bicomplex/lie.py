@@ -3,7 +3,10 @@
 Structure constants are stored sparsely for i < j only; antisymmetry is
 implicit.  The CE differential on generators is d xi^k = -sum_{i<j}
 c_{ij}^k xi^i xi^j, extended as a degree-1 antiderivation; Jacobi is
-exactly d^2 = 0, so `ce_complex` doubles as the validator.
+exactly d^2 = 0: (d^2 xi^k)(X_i, X_j, X_l) is the X_k coordinate of the
+Jacobiator, so `validate_lie` reads the failing triples off the nonzero
+rows of d^2 on 1-forms.  A vector of g is a `Column` of coordinates, row
+k - 1 for X_k.
 
 The invariant bicomplex of g is CE(g) tensor conj(CE(g)) with conjugation
 of forms as its real structure: the untwisted case of the one rule of
@@ -25,7 +28,7 @@ from .exterior import (
     exterior_complex,
     grade_basis,
 )
-from .linalg import Matrix, _columns, hstack, kernel, lows, rank, vstack
+from .linalg import Column, Matrix, _columns, kernel, lows, rank, rank_columns, vstack
 from .scalars import ONE, Scalar, ZERO, sc
 
 
@@ -44,20 +47,14 @@ class LieAlgebra:
             return {k: v for k, v in self.brackets.get((i, j), {}).items() if v}
         return {k: -v for k, v in self.brackets.get((j, i), {}).items() if v}
 
-    def bracket_vectors(self, x: Matrix, y: Matrix) -> Matrix:
-        n = self.dim
-        out: dict[int, Scalar] = {}
-        for i in range(1, n + 1):
-            xi = x.get(i - 1, 0)
-            if not xi:
-                continue
-            for j in range(1, n + 1):
-                yj = y.get(j - 1, 0)
-                if not yj:
-                    continue
-                for k, ck in self.c(i, j).items():
-                    out[k] = out.get(k, ZERO) + xi * yj * ck
-        return Matrix(n, 1, {(k - 1, 0): v for k, v in out.items() if v})
+    def bracket(self, x: Column, y: Column) -> Column:
+        """[x, y] of two coordinate vectors."""
+        out: Column = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
+                for k, ck in self.c(i + 1, j + 1).items():
+                    out[k - 1] = out.get(k - 1, ZERO) + xi * yj * ck
+        return {k: v for k, v in out.items() if v}
 
     def ad_matrix(self, i: int) -> Matrix:
         """Matrix of ad(X_i) on basis coordinates."""
@@ -89,16 +86,11 @@ def validate_lie(g: LieAlgebra) -> list[str]:
                 problems.append(f"structure: bad bracket target {k}")
     if problems:
         return problems
-    unit = lambda i: Matrix(n, 1, {(i - 1, 0): ONE})
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                acc = g.bracket_vectors(g.bracket_vectors(unit(i), unit(j)), unit(k))
-                acc = acc + g.bracket_vectors(g.bracket_vectors(unit(j), unit(k)), unit(i))
-                acc = acc + g.bracket_vectors(g.bracket_vectors(unit(k), unit(i)), unit(j))
-                if not acc.is_zero:
-                    problems.append(f"axiom: Jacobi fails on ({i},{j},{k})")
-    return problems
+    forms, triples = g.ce_forms(), grade_basis(n, 3)
+    # entry ((i,j,k), l) of d^2 is X_l's coordinate of the Jacobiator of X_i, X_j, X_k
+    d2 = d_matrix(n, forms, 2) @ d_matrix(n, forms, 1)
+    return [f"axiom: Jacobi fails on ({i},{j},{k})"
+            for i, j, k in (triples[r] for r in sorted({r for r, _ in d2.entries}))]
 
 
 def series_terminates(g: LieAlgebra, derived: bool) -> bool:
@@ -109,13 +101,11 @@ def series_terminates(g: LieAlgebra, derived: bool) -> bool:
     term and x in it too (derived) or in g (lower central); a term that
     does not shrink means the series never reaches zero.
     """
-    b = Matrix.identity(g.dim)
-    while b.ncols > 0:
-        a = b if derived else Matrix.identity(g.dim)
-        cols = hstack([g.bracket_vectors(a.column(i), b.column(j))
-                       for i in range(a.ncols) for j in range(b.ncols)])
-        nxt = cols.columns([j for j, low in enumerate(lows(_columns(cols))) if low is not None])
-        if nxt.ncols >= b.ncols:
+    b = units = [{i: ONE} for i in range(g.dim)]
+    while b:
+        brackets = [g.bracket(x, y) for x in (b if derived else units) for y in b]
+        nxt = [v for v, low in zip(brackets, lows(brackets)) if low is not None]
+        if len(nxt) >= len(b):
             return False
         b = nxt
     return True
@@ -175,14 +165,13 @@ def validate_subalgebra(g: LieAlgebra, incl: Matrix) -> list[str]:
     problems = []
     if incl.nrows != g.dim:
         return [f"structure: inclusion has {incl.nrows} rows, expected {g.dim}"]
-    m = incl.ncols
-    if rank(incl) != m:
+    m, gens = incl.ncols, _columns(incl)
+    if rank_columns(gens) != m:
         problems.append("structure: generators are dependent")
         return problems
     for a in range(m):
         for b in range(a + 1, m):
-            v = g.bracket_vectors(incl.column(a), incl.column(b))
-            if rank(hstack([incl, v])) != m:
+            if rank_columns(gens + [g.bracket(gens[a], gens[b])]) != m:
                 problems.append(f"axiom: bracket of generators {a} and {b} leaves the span")
     return problems
 
@@ -204,10 +193,7 @@ def relative_ce_cohomology(g: LieAlgebra, incl: Matrix) -> dict[int, int]:
     n = g.dim
     dgen = g.ce_forms()
     d = {p: d_matrix(n, dgen, p) for p in range(n + 1)}
-    gens = [
-        {i + 1: incl.get(i, b) for i in range(n) if incl.get(i, b)}
-        for b in range(incl.ncols)
-    ]
+    gens = [{i + 1: x for i, x in z.items()} for z in _columns(incl)]  # from 1, as exterior's
     basic: dict[int, Matrix] = {}
     for p in range(n + 1):
         rows = [Matrix.zero(0, comb(n, p))]  # no condition: every p-form

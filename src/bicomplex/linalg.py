@@ -1,17 +1,21 @@
 """Sparse exact linear algebra over Q(i).
 
-Matrices are stored as dicts mapping (row, col) -> Scalar with no zero
-entries.  Column elimination keys sparse columns by their low, their
-largest row, with columns added left to right.  Every elimination that
-reads only lows (`rank`, `rank_columns`, a pivot set, the pairs of the
+A map or a basis is a `Matrix`, stored as a dict (row, col) -> Scalar
+with no zero entries.  A vector is a `Column`, a dict row -> nonzero
+Scalar, combined only by `_subtract` (in place) and `_combine` (a
+matrix, given by its columns, applied to a vector).
+
+Column elimination keys sparse columns by their low, their largest
+row, with columns added left to right.  Every elimination that reads
+only lows (`rank`, `rank_columns`, a pivot set, the pairs of the
 spectral pages) runs on `lows`, which reduces on raw ints and builds no
 Scalar.  Those that track ops, the combinations of the added columns
 (`kernel`, `echelon`, the V of the Hodge pieces, both phases of
 decomposition), run on `Echelon`.  `rref` (leftmost pivot column, then
 smallest row) serves reduced forms only: `solve_right`, `inverse` and
-`rcef`, i.e. `Subspace`.  All find the same pivot columns, those
-outside the span of the columns before them.  Every result is
-deterministic.
+`rcef`, i.e. `Subspace`, which no other module of the package calls.
+All find the same pivot columns, those outside the span of the columns
+before them.  Every result is deterministic.
 
 `Matrix(...)` validates its entries; a matrix this module derives from
 valid ones (a product, sum, stack, slice, transpose, kernel ...) is
@@ -78,7 +82,7 @@ class Matrix:
 
     @staticmethod
     def column_vector(values: Sequence[object]) -> Matrix:
-        return Matrix.from_rows([[v] for v in values])
+        return Matrix(len(values), 1, {(r, 0): _coerce(v) for r, v in enumerate(values)})
 
     # -- access ----------------------------------------------------------
 
@@ -176,8 +180,8 @@ class Matrix:
         )
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
-        rows = self.to_rows()
-        return "\n".join("[" + "  ".join(str(v) for v in row) + "]" for row in rows)
+        return "\n".join("[" + "  ".join(str(self.get(r, c)) for c in range(self.ncols)) + "]"
+                         for r in range(self.nrows))
 
 
 _new = object.__new__
@@ -382,12 +386,6 @@ def _combine(cols: Sequence[Column], v: Column) -> Column:
     return out
 
 
-def _apply(cols: Sequence[Column], nrows: int, v: Matrix) -> Matrix:
-    """m @ v for a column vector v and an nrows-row m given by its columns."""
-    out = _combine(cols, {r: x for (r, _), x in v.entries.items()})
-    return _canonical(nrows, 1, {(i, 0): x for i, x in out.items()})
-
-
 @dataclass
 class Echelon:
     """Sparse columns keyed by their low (largest nonzero row), 1 there, each
@@ -434,14 +432,19 @@ def _columns(m: Matrix) -> list[Column]:
     return cols
 
 
+def _from_columns(nrows: int, cols: Sequence[Column]) -> Matrix:
+    """The nrows-row matrix with these columns, whose rows lie in range."""
+    entries = {(i, c): v for c, col in enumerate(cols) for i, v in col.items()}
+    return _canonical(nrows, len(cols), entries)
+
+
 def echelon(m: Matrix) -> tuple[Echelon, dict[int, int], Matrix]:
     """m's columns added left to right, column j with ops {j: 1}: the echelon,
     the low of each column outside the span of those before it (rref's
     pivot columns) and the kernel.  Its column for each other column j is
     j's ops: the one null vector that is 1 at j and 0 off j and the pivots."""
     ech, found, free = _echelon(_columns(m))
-    entries = {(i, c): v for c, ops in enumerate(free) for i, v in ops.items()}
-    return ech, found, _canonical(m.ncols, len(free), entries)
+    return ech, found, _from_columns(m.ncols, free)
 
 
 def _echelon(cols: Sequence[Column]) -> tuple[Echelon, dict[int, int], list[Column]]:

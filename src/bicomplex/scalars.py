@@ -20,10 +20,10 @@ import re as _regex
 from fractions import Fraction
 from math import gcd
 
-_RAT = r"-?\d+(?:/\d+)?"
+_RAT = r"-?[0-9]+(?:/[0-9]+)?"  # ASCII digits only, unlike \d
 _RE_REAL = _regex.compile(rf"^({_RAT})$")
-_RE_IMAG = _regex.compile(r"^(-?)(\d+(?:/\d+)?)?i$")
-_RE_FULL = _regex.compile(rf"^({_RAT})([+-])(\d+(?:/\d+)?)?i$")
+_RE_IMAG = _regex.compile(r"^(-?)([0-9]+(?:/[0-9]+)?)?i$")
+_RE_FULL = _regex.compile(rf"^({_RAT})([+-])([0-9]+(?:/[0-9]+)?)?i$")
 
 
 class Scalar:

@@ -63,18 +63,7 @@ from .complexes import (
     transpose_complex,
 )
 from .errors import InternalError
-from .linalg import (
-    Column,
-    Echelon,
-    Matrix,
-    _columns,
-    _echelon,
-    hstack,
-    kernel,
-    lows,
-    rank,
-    vstack,
-)
+from .linalg import Column, Echelon, _columns, _combine, _echelon, lows, rank_columns, vstack
 from .scalars import ONE
 
 
@@ -253,19 +242,18 @@ def degeneration_page(pages: list[SpectralPage]) -> int:
     return max(1, last + 1)
 
 
-def _class_matrix(red: _Reduction, ech: Echelon, place: dict[int, int],
-                  cocycles: list[Column]) -> Matrix:
-    """Class coordinates of cocycles, one column each; row place[j] is [z_j]."""
-    entries = {}
-    for c, vec in enumerate(cocycles):
+def _classes(red: _Reduction, ech: Echelon, place: dict[int, int],
+             cocycles: list[Column]) -> list[Column]:
+    """The class coordinates of each cocycle; row place[j] is [z_j]."""
+    out = []
+    for vec in cocycles:
         coords: Column = {}
         low = ech.reduce(dict(vec), coords)
         if low is not None:
             raise InternalError(f"Hodge pieces: cocycle meets cell {low} "
                                 f"at {red.cells[low]}, neither a low nor unpaired")
-        for j, f in coords.items():  # vec - sum f_j z_j is a coboundary
-            entries[(place[j], c)] = -f
-    return Matrix(len(place), len(cocycles), entries)
+        out.append({place[j]: -f for j, f in coords.items()})  # vec - sum f_j z_j bounds
+    return out
 
 
 def _pieces(col: _Reduction, row: _Reduction) -> HodgePieces:
@@ -293,30 +281,31 @@ def _pieces(col: _Reduction, row: _Reduction) -> HodgePieces:
         hk = len(basis)
         conj_k = [(pq, w) for pq, w in conj if sum(pq) == k]
         wq = [q for (_, q), _ in conj_k]
-        w = _class_matrix(col, ech, place, [w for _, w in conj_k])
-        rk = rank(w)
-        if (w.ncols, rk) != (hk, hk):
-            raise InternalError(f"Hodge pieces: {w.ncols} conjugate-filtration cocycles "
+        w = _classes(col, ech, place, [w for _, w in conj_k])
+        rk = rank_columns(w)
+        if (len(w), rk) != (hk, hk):
+            raise InternalError(f"Hodge pieces: {len(w)} conjugate-filtration cocycles "
                                 f"of rank {rk} in degree {k}, expected h^{k} = {hk}")
         zp = [col.cells[j][0] for j in basis]
         for p in range(min(ps), max(ps) + 2):
             filtration_dims[(k, p)] = (sum(pj >= p for pj in zp), sum(q >= k - p for q in wq))
-        spans = []
+        spans: list[Column] = []
         for (p, q) in (pq for pq in support if sum(pq) == k):
-            # F̄^q is spanned by its columns of w; F^p is zero off its rows
-            fbar = w.columns([c for c, qc in enumerate(wq) if qc >= q])
-            span = fbar @ kernel(fbar.rows([n for n, pj in enumerate(zp) if pj < p]))
-            closed = kernel(vstack([dc.del_map(p, q), dc.delbar_map(p, q)]))
-            forms = [{col.start[(p, q)] + r: v for r, v in z.items()} for z in _columns(closed)]
-            bc = rank(_class_matrix(col, ech, place, forms))
-            if span.ncols != bc:
-                raise InternalError(f"filtration intersection {span.ncols} != "
+            # F̄^q is spanned by its vectors of w; F^p is zero off its rows
+            fbar = [v for v, qc in zip(w, wq) if qc >= q]
+            below = {n for n, pj in enumerate(zp) if pj < p}
+            _, _, null = _echelon([{n: x for n, x in v.items() if n in below} for v in fbar])
+            span = [_combine(fbar, z) for z in null]
+            _, _, closed = _echelon(_columns(vstack([dc.del_map(p, q), dc.delbar_map(p, q)])))
+            forms = [{col.start[(p, q)] + r: v for r, v in z.items()} for z in closed]
+            bc = rank_columns(_classes(col, ech, place, forms))
+            if len(span) != bc:
+                raise InternalError(f"filtration intersection {len(span)} != "
                                     f"Bott-Chern image {bc} at ({p},{q})")
-            if span.ncols:
-                dims[(p, q)] = span.ncols
-            spans.append(span)
-        total = sum(s.ncols for s in spans)
-        pure[k] = total == hk and rank(hstack(spans)) == hk
+            if span:
+                dims[(p, q)] = len(span)
+            spans += span
+        pure[k] = len(spans) == hk and rank_columns(spans) == hk
     return HodgePieces(dims, filtration_dims, pure)
 
 

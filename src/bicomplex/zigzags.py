@@ -14,16 +14,19 @@ low and 0 at the other columns' lows (a canonical kernel basis, or unit
 columns), so the maps into it keep the rows at K's lows, checked to
 lose nothing, and the maps out of it compose with K.  Ranks, kernels
 and pivots come from `linalg.echelon`: decompose solves and inverts nothing.
+The parts' vectors are sparse `linalg.Column`s in original coordinates,
+combined by `_combine` and `_subtract`; only maps and bases are matrices.
 
 Phase A peels squares: at each anchor (p,q) in increasing (p+q, p),
 one echelon of lam = del delbar gives the generators (its pivot
 columns), ker lam and the lows L of im lam.  The unit vectors off L
 complement im lam, and y lies in their span iff y vanishes on L, so
 the actives at (p+1,q) and (p,q+1) shrink to the kernels of delbar and
-del on the rows L.  The four square vectors split off, and the
-remaining active subspaces need no correction because every incoming
-image lies in ker(del delbar) and every outgoing image of the new
-actives misses the square lines.
+del on the rows L.  Each square splits off as its generator, the active
+basis vector at a pivot column, and that vector's images under the
+input's maps.  The remaining active subspaces need no correction
+because every incoming image lies in ker(del delbar) and every outgoing
+image of the new actives misses the square lines.
 
 Phase B decomposes the remainder, where all compositions of del and
 delbar vanish.  A zigzag then only ever alternates between two
@@ -44,7 +47,8 @@ the source vectors that closed them, and what is left must be exactly
 the open hits.  The rows that are no low complement the target's ends.
 
 Nothing here is trusted, the factor record included: the change of
-basis C must be square of full rank at every bidegree and carry the
+basis C, assembled from the parts' vectors, must have every row inside
+its space and be square of full rank at every bidegree, and carry the
 block model, the direct sum of the parts' own complexes (assembled in
 one pass over the sorted parts), onto the input literally
 (d C = C d_model, so C^-1 d C is the model without forming C^-1).
@@ -66,16 +70,19 @@ from .linalg import (
     Column,
     Echelon,
     Matrix,
-    _apply,
     _canonical,
     _columns,
+    _combine,
+    _echelon,
+    _from_columns,
     _subtract,
     echelon,
-    hstack,
+    # not called here; perfbench's tracer and test_phase_b_forms_no_inverse
+    # patch zigzags.inverse by name until ROADMAP item 4 retires it
     inverse,
     kernel,
     lows,
-    rank,
+    rank_columns,
 )
 from .scalars import MINUS_ONE, ONE, Scalar, sc
 
@@ -120,7 +127,7 @@ class Decomposition:
 @dataclass
 class _RawPart:
     kind: str  # "square" | "zigzag"
-    verts: list[tuple[Bidegree, Matrix]]  # original-coordinate column vectors
+    verts: list[tuple[Bidegree, Column]]  # vectors in original coordinates
 
 
 def _units(n: int, rows: list[int]) -> Matrix:
@@ -167,27 +174,20 @@ def _phase_a(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex)
         if lam.is_zero:
             continue
         _, piv, k = echelon(lam)
-        wmat = _units(lam.ncols, list(piv))
         lows = sorted(piv.values())  # L: the unit columns off L complement im lam
         c3 = _units(lam.nrows, sorted(set(range(lam.nrows)) - set(lows)))
         c1 = kernel(b1.rows(lows))
         c2 = kernel(b2.rows(lows))
-        w_orig = act[(p, q)] @ wmat
-        a_orig = dc.del_map(p, q) @ w_orig
-        b_orig = dc.delbar_map(p, q) @ w_orig
-        c_orig = dc.del_map(p, q + 1) @ b_orig
-        for j in range(len(piv)):
-            parts.append(
-                _RawPart(
-                    "square",
-                    [
-                        ((p, q), w_orig.column(j)),
-                        ((p + 1, q), a_orig.column(j)),
-                        ((p, q + 1), b_orig.column(j)),
-                        ((p + 1, q + 1), c_orig.column(j)),
-                    ],
-                )
-            )
+        gens = _columns(act[(p, q)])  # the generators, in original coordinates
+        right, up, corner = (_columns(m) for m in (
+            dc.del_map(p, q), dc.delbar_map(p, q), dc.del_map(p, q + 1)))
+        for j in piv:
+            w = gens[j]
+            b = _combine(up, w)
+            parts.append(_RawPart("square", [
+                ((p, q), w), ((p + 1, q), _combine(right, w)),
+                ((p, q + 1), b), ((p + 1, q + 1), _combine(corner, b)),
+            ]))
         for c, basis in zip(corners, (k, c1, c2, c3)):
             _shrink(act, cur, c, basis)
     return parts
@@ -197,7 +197,7 @@ class _String:
     __slots__ = ("verts",)
 
     def __init__(self, verts):
-        self.verts = verts  # [(bidegree, coords w.r.t. the level's snapshot actives)]
+        self.verts = verts  # [(bidegree, coordinates in the level's starting actives)]
 
     def sink_terminated(self, k: int) -> bool:
         p0, q0 = self.verts[0][0]
@@ -210,10 +210,10 @@ class _End:
 
     string: _String
     vid: int
-    closer: Matrix | None = None  # the source vector whose image is this end
+    closer: Column | None = None  # the source vector whose image is this end
 
     @property
-    def vector(self) -> Matrix:
+    def vector(self) -> Column:
         return self.string.verts[self.vid][1]
 
 
@@ -228,22 +228,20 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex)
         # per target its ends, and their echelon with ops on their indices
         ends: dict[Bidegree, tuple[list[_End], Echelon]] = {}
         strings: list[_String] = []
-        snapshot = {pq: act[pq] for pq in support}
+        # the actives of levels k and k+1 before this level shrinks them
+        basis = {pq: _columns(act[pq]) for pq in support if sum(pq) - k in (0, 1)}
         for (p, q) in sources:
-            ns = cur.dim(p, q)
-            if ns == 0:
+            if not cur.dim(p, q):
                 continue
             t_left = (p, q + 1)
             t_right = (p + 1, q)
-            lmat, rmat = cur.delbar_map(p, q), cur.del_map(p, q)
-            lcols, rcols = _columns(lmat), _columns(rmat)  # applied to every candidate
+            lcols, rcols = _columns(cur.delbar_map(p, q)), _columns(cur.del_map(p, q))
             left, left_ech = ends.setdefault(t_left, ([], Echelon()))
-            _, piv, ker = echelon(rmat)
-            candidates = [("ker", ker.column(j)) for j in range(ker.ncols)]
-            candidates += [("piv", _units(ns, [c])) for c in piv]
+            _, piv, ker = _echelon([dict(c) for c in rcols])
+            candidates = [("ker", z) for z in ker] + [("piv", {c: ONE}) for c in piv]
             for kind, v in candidates:
-                lv = _apply(lcols, lmat.nrows, v)
-                col, ops = _columns(lv)[0], {}
+                lv = _combine(lcols, v)
+                col, ops = dict(lv), {}
                 if left_ech.reduce(col, ops) is not None:
                     # the image leaves the span of the ends: a new line, closed by v
                     left_ech.add(col, {**ops, len(left): ONE})  # col is lv + sum ops_i end_i
@@ -254,12 +252,13 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex)
                     hits = []
                     for i, o in sorted(ops.items()):  # lv = -sum ops_i end_i
                         if left[i].closer is not None:
-                            v = v + left[i].closer.scale(o)
+                            _subtract(v, -o, left[i].closer)  # v is the fresh candidate
                         else:
                             hits.append((i, -o, left[i].string))
-                    want = sum((left[i].vector.scale(mu) for i, mu, _ in hits),
-                               Matrix.zero(lv.nrows, 1))
-                    if _apply(lcols, lmat.nrows, v) != want:
+                    rest = _combine(lcols, v)  # must be exactly the open hits
+                    for i, mu, _ in hits:
+                        _subtract(rest, mu, left[i].vector)
+                    if rest:
                         raise InternalError(f"closed component survives clearing at ({p},{q})")
                     if not hits:
                         hit_string = _String([((p, q), v)])
@@ -286,18 +285,21 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex)
                                         "absorption misaligned at "
                                         f"{bid_a} vs {bid_b}"
                                     )
-                                a.verts[-i] = (bid_a, va + vb.scale(mu))
+                                va = dict(va)  # a closer may still hold it
+                                _subtract(va, -mu, vb)
+                                a.verts[-i] = (bid_a, va)
                             for o in left_ech.ops.values():  # end ai is now ai + mu bi
                                 if ai in o:
                                     _subtract(o, mu, {bi: o[ai]})
-                        v = v.scale(ONE / alam)
+                        inv = ONE / alam
+                        v = {i: inv * x for i, x in v.items()}
                         a.verts.append(((p, q), v))
                         left[ai].closer = v
                         hit_string = a
                 if kind == "piv":
-                    rv = _apply(rcols, rmat.nrows, v)
+                    rv = _combine(rcols, v)
                     right, right_ech = ends.setdefault(t_right, ([], Echelon()))
-                    if right_ech.add(_columns(rv)[0], {len(right): ONE}) is None:
+                    if right_ech.add(dict(rv), {len(right): ONE}) is None:
                         raise InternalError(f"frontier collapsed at ({p},{q}) level {k}")
                     hit_string.verts.append((t_right, rv))
                     right.append(_End(hit_string, len(hit_string.verts) - 1))
@@ -307,17 +309,8 @@ def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex)
             if ech.cols:
                 n = cur.dim(*bid)
                 _shrink(act, cur, bid, _units(n, [i for i in range(n) if i not in ech.cols]))
-        back: dict[Bidegree, list] = {}  # each snapshot's columns, read once
-        for st in strings:
-            for bid, _ in st.verts:
-                if bid not in back:
-                    back[bid] = _columns(snapshot[bid])
-            parts.append(
-                _RawPart(
-                    "zigzag",
-                    [(bid, _apply(back[bid], dc.spaces[bid], vec)) for bid, vec in st.verts],
-                )
-            )
+        parts += [_RawPart("zigzag", [(bid, _combine(basis[bid], vec)) for bid, vec in st.verts])
+                  for st in strings]
     for pq in support:
         if act[pq].ncols:
             raise InternalError(f"active space not exhausted at {pq}")
@@ -363,9 +356,8 @@ def _factored_parts(dc: DoubleComplex) -> list[_RawPart]:
                         n, o = dc.dim(*pq), offs.get(pq)
                         if o is None or o + a.dim(p + i) * nb > n:
                             raise InternalError(f"factor record does not fit the complex at {pq}")
-                        entries = {(o + r * nb + t, 0): -(u * v) if neg else u * v
-                                   for r, u in x.items() for t, v in y.items()}
-                        verts.append((pq, _canonical(n, 1, entries)))
+                        verts.append((pq, {o + r * nb + t: -(u * v) if neg else u * v
+                                           for r, u in x.items() for t, v in y.items()}))
                 parts.append(_RawPart("square" if len(verts) == 4 else "zigzag", verts))
     return parts
 
@@ -418,7 +410,7 @@ def decompose(dc: DoubleComplex, tables: dict | None = None) -> Decomposition:
 
     # the block model, each part's vertices at the next free coordinate of
     # their bidegrees, and the vectors of C in the same order
-    cols: dict[Bidegree, list[Matrix]] = {pq: [] for pq in dc.spaces}
+    cols: dict[Bidegree, list[Column]] = {pq: [] for pq in dc.spaces}
     dels: dict[Bidegree, dict] = {}  # source -> {(row, col): entry}
     delbars: dict[Bidegree, dict] = {}
     for _, part in ranked:
@@ -432,10 +424,11 @@ def decompose(dc: DoubleComplex, tables: dict | None = None) -> Decomposition:
 
     change: dict[Bidegree, Matrix] = {}
     for pq, vs in cols.items():
-        # none, too few, too many or dependent vectors all fail here
-        change[pq] = hstack(vs) if vs else Matrix.zero(dc.spaces[pq], 0)
-        if not (change[pq].ncols == rank(change[pq]) == dc.spaces[pq]):
+        # none, too few, too many, dependent or out-of-range vectors all fail here
+        n = dc.spaces[pq]
+        if not (all(0 <= i < n for v in vs for i in v) and len(vs) == rank_columns(vs) == n):
             raise InternalError(f"the parts give no basis at {pq}")
+        change[pq] = _from_columns(n, vs)
     spaces = dc.spaces  # now also the model's
     model = DoubleComplex(dict(spaces), *(
         {(p, q): _canonical(spaces[(p + dp, q + dq)], spaces[(p, q)], e)
@@ -589,27 +582,31 @@ def random_page1_complex(seed: int, max_parts: int = 6, span: int = 3) -> Double
 
 
 def shuffle_basis(dc: DoubleComplex, seed: int) -> DoubleComplex:
-    """Conjugate by random unimodular integer matrices, one per bidegree."""
+    """Conjugate by random unimodular integer matrices, one per bidegree:
+    u by row operations on I, and u^-1 by the inverse column operations,
+    each applied on the right, in the same order."""
     rng = random.Random(seed)
     u: dict[Bidegree, Matrix] = {}
     uinv: dict[Bidegree, Matrix] = {}
     for pq in dc.bidegrees():
         n = dc.spaces[pq]
-        m = Matrix.identity(n)
-        rows = m.to_rows()
+        rows: list[Column] = [{i: ONE} for i in range(n)]  # the rows of u
+        cols: list[Column] = [{i: ONE} for i in range(n)]  # the columns of u^-1
         for _ in range(2 * n + 2):
             i = rng.randrange(n)
             j = rng.randrange(n)
             op = rng.random()
-            if op < 0.6 and i != j:
+            if op < 0.6 and i != j:  # row_i += lam row_j, so col_j -= lam col_i
                 lam = sc(rng.choice([-2, -1, 1, 2]))
-                rows[i] = [a + lam * b for a, b in zip(rows[i], rows[j])]
+                _subtract(rows[i], -lam, rows[j])
+                _subtract(cols[j], lam, cols[i])
             elif op < 0.8:
                 rows[i], rows[j] = rows[j], rows[i]
+                cols[i], cols[j] = cols[j], cols[i]
             else:
-                rows[i] = [-a for a in rows[i]]
-        u[pq] = Matrix.from_rows(rows)
-        uinv[pq] = inverse(u[pq])
+                rows[i] = {c: -v for c, v in rows[i].items()}
+                cols[i] = {r: -v for r, v in cols[i].items()}
+        u[pq], uinv[pq] = _from_columns(n, rows).transpose(), _from_columns(n, cols)
     dels = {}
     delbars = {}
     for (p, q) in dc.bidegrees():

@@ -12,10 +12,10 @@ import re as _regex
 from dataclasses import dataclass
 from fractions import Fraction
 
-_RAT = r"-?\d+(?:/\d+)?"
+_RAT = r"-?[0-9]+(?:/[0-9]+)?"
 _RE_REAL = _regex.compile(rf"^({_RAT})$")
-_RE_IMAG = _regex.compile(r"^(-?)(\d+(?:/\d+)?)?i$")
-_RE_FULL = _regex.compile(rf"^({_RAT})([+-])(\d+(?:/\d+)?)?i$")
+_RE_IMAG = _regex.compile(r"^(-?)([0-9]+(?:/[0-9]+)?)?i$")
+_RE_FULL = _regex.compile(rf"^({_RAT})([+-])([0-9]+(?:/[0-9]+)?)?i$")
 
 
 @dataclass(frozen=True, slots=True)

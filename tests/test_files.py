@@ -59,6 +59,11 @@ space 0 0 1   # trailing comment
         ("space 0 0 1\nspace 0 1 1\ndelbar 0 0 0 0 1\ndelbar 0 0 0 0 1\n", "duplicate delbar"),
         ("spae 0 0 1\n", "unknown record"),
         ("space 0 0 x\n", "expected integer"),
+        ("space 0 0 1_0\n", "expected integer"),
+        ("space 0 0 \uff12\n", "expected integer"),  # a fullwidth 2
+        ("space +1 0 1\n", "expected integer"),
+        ("space \u0663 0 1\n", "expected integer"),  # an Arabic-Indic 3
+        ("space 0 0 1\nspace 1 0 1\ndel 0 0 0 0 \u0663\n", "malformed scalar"),
         ("space 0 0 1\nspace 1 0 1\ndel 0 0 0 0 1/0\n", "malformed scalar"),
         ("space 0 0 1\nspace 1 0 1\ndel 0 0 0 0 2+\n", "malformed scalar"),
         ("space 0 0\n", "takes 3 fields"),
@@ -157,6 +162,7 @@ def test_parse_lie_matches_builtin():
         ("bracket 1 2 3 1\n", "missing dim"),
         ("dim 3\ndim 3\n", "duplicate dim"),
         ("dim -1\n", "negative dimension"),
+        ("dim 1_0\n", "expected integer"),
         ("dim 2\nbracket 2 1 1 1\n", "out of range"),
         ("dim 3\nbracket 1 2 3 1\nbracket 1 2 3 1\n", "duplicate bracket"),
         ("dim 3\nweight 1 1 1\n", "unknown record"),
@@ -224,6 +230,7 @@ def test_gamma_trivial_accepted_forms(base, line, flags):
         (SOLV_BASE, "{1}"),
         (SOLV_BASE, ""),
         (SOLV_BASE, "{ 3 }"),
+        (SOLV_BASE, "{ \uff11 }"),
         (SOLV_BASE, "{ 1 } ; { 2 }"),
         (SPLIT_BASE, "{ 1 }"),
         (SPLIT_BASE, "{ 1 } ;"),

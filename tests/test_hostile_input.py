@@ -136,3 +136,22 @@ def test_repeated_records_exit_1(workdir, verb, text):
     code, out, err = _run([verb, str(path), "--format", "machine"])
     assert (code, out, err.count("\n")) == (1, "", 1), err
     assert err.startswith("parse error: ") and "duplicate" in err
+
+
+@pytest.mark.parametrize(
+    "verb,text",
+    [
+        ("classify", "space 0 0 1_0\n"),
+        ("classify", "space +1 0 \uff12\n"),  # a fullwidth 2
+        ("classify", "space 0 0 1\nspace 1 0 1\ndel 0 0 0 0 \u0663\n"),  # an Arabic-Indic 3
+        ("lie", "dim \uff13\n"),
+        ("solv", VALID["solv"].replace("weight 2 1 1", "weight 2 0_1 1")),
+        ("splitting", VALID["splitting"].replace("phi 2 -1 0", "phi +2 -1 0")),
+    ],
+)
+def test_integer_fields_take_ascii_digits_only(workdir, verb, text):
+    path = workdir / f"digits.{verb}"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run([verb, str(path), "--format", "machine"])
+    assert (code, out, err.count("\n")) == (1, "", 1), err
+    assert err.startswith("parse error: line ")

@@ -51,6 +51,20 @@ def test_validate_lie_catches_jacobi_failure():
     assert validate_lie(heisenberg3()) == []
 
 
+def test_validate_lie_names_each_failing_triple_in_order():
+    bad = LieAlgebra(3, {(1, 2): {3: ONE}, (1, 3): {1: ONE}})
+    assert validate_lie(bad) == ["axiom: Jacobi fails on (1,2,3)"]
+    # on (2,3,4) every term vanishes: [X2,X3] = 0, [[X3,X4],X2] = [X2,X2]
+    # and [[X4,X2],X3] = -[X5,X3]
+    worse = LieAlgebra(5, {(1, 2): {3: ONE}, (1, 3): {1: ONE},
+                           (2, 4): {5: ONE}, (3, 4): {2: ONE}})
+    assert validate_lie(worse) == [
+        "axiom: Jacobi fails on (1,2,3)",
+        "axiom: Jacobi fails on (1,2,4)",
+        "axiom: Jacobi fails on (1,3,4)",
+    ]
+
+
 def test_validate_lie_catches_bad_indices():
     assert validate_lie(LieAlgebra(2, {(1, 2): {3: ONE}})) != []
     assert validate_lie(LieAlgebra(2, {(2, 2): {1: ONE}})) != []

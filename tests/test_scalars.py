@@ -70,7 +70,8 @@ def test_parse_accepts_all_grammar_forms():
     assert parse_scalar("1/2-5/6i") == sc(Fraction(1, 2), Fraction(-5, 6))
 
 
-@pytest.mark.parametrize("bad", ["", "1+", "i2", "3//4", "+i", "1+2j", "--1"])
+@pytest.mark.parametrize("bad", ["", "1+", "i2", "3//4", "+i", "1+2j", "--1",
+                                 "\u0663", "1/\uff12", "2+\u0663i", "1_0"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
@@ -186,7 +187,7 @@ def test_format_parse_round_trip(x):
     assert parse_scalar(text) == new
 
 
-_NUM = r"\d{1,25}(/\d{1,25})?"
+_NUM = r"[0-9]{1,25}(/[0-9]{1,25})?"
 literals = st.from_regex(
     rf"-?{_NUM}|-?({_NUM})?i|-?{_NUM}[+-]({_NUM})?i", fullmatch=True
 )

@@ -11,6 +11,7 @@ from bicomplex import (
     ValidationError,
     Zigzag,
     all_tables,
+    build_C,
     catalog_complex,
     classify,
     decompose,
@@ -18,6 +19,7 @@ from bicomplex import (
     inverse,
     page1_by_shape,
     random_page1_complex,
+    random_solvable,
     random_zigzag_sum,
     report_lines,
     shape_tables,
@@ -280,10 +282,26 @@ def test_certificate_refuses_a_scaled_vector(monkeypatch):
     def double(parts):
         part = next(part for part in parts if len(part.verts) > 1)
         bid, vec = part.verts[0]
-        part.verts[0] = (bid, vec.scale(sc(2)))
+        part.verts[0] = (bid, {i: sc(2) * x for i, x in vec.items()})
 
     _corrupt_zigzags(monkeypatch, double)
     with pytest.raises(InternalError, match="not block-diagonal"):
+        decompose(shuffled)
+
+
+def test_certificate_refuses_a_row_outside_its_space(monkeypatch):
+    # a vertex whose low moves one past its space keeps the rank full, so
+    # only the range check keeps it out of C
+    shuffled = shuffle_basis(random_zigzag_sum(0)[0], 10**6)
+
+    def shift(parts):
+        bid, vec = parts[0].verts[0]
+        moved = dict(vec)
+        moved[shuffled.spaces[bid]] = moved.pop(max(vec))
+        parts[0].verts[0] = (bid, moved)
+
+    _corrupt_zigzags(monkeypatch, shift)
+    with pytest.raises(InternalError, match="the parts give no basis"):
         decompose(shuffled)
 
 
@@ -370,3 +388,44 @@ GENERATOR_PINS = {
 def test_random_zigzag_sum_is_pinned(args):
     text = write_bicomplex(random_zigzag_sum(*args)[0])
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_PINS[args]
+
+
+# sha256 over the write_bicomplex texts of shuffle_basis(dc, seed), in
+# order: the benchmark builds its sweep and dense inputs this way, so a
+# rewrite of shuffle_basis must keep its random draws and its output
+SHUFFLE_PINS = {
+    "random_zigzag_sum(0..9)":
+        "e1ddea8b1db7e8b1a141536a2d1d31cacb6f5f0d5cc2b4e16df553357747ac02",
+    "random_zigzag_sum(19, max_parts=24)":
+        "2877a058f811100571a5890a77634c9ab9491d11fcd300f7d30a3f2e81e5563b",
+    "build_C(random_solvable(0))":
+        "fdf8f8a196d4933b08d1bfff38c125e9f98e7d04435b85c0a9596141577465e1",
+}
+
+
+def _shuffle_pin_inputs(name):
+    if name == "random_zigzag_sum(0..9)":
+        return [(random_zigzag_sum(s)[0], s + 10**6) for s in range(10)]
+    if name == "random_zigzag_sum(19, max_parts=24)":
+        return [(random_zigzag_sum(19, max_parts=24)[0], 10**6)]
+    return [(build_C(random_solvable(0))[0], 10**6)]
+
+
+@pytest.mark.parametrize("name", list(SHUFFLE_PINS))
+def test_shuffle_basis_is_pinned(name):
+    digest = hashlib.sha256()
+    for dc, seed in _shuffle_pin_inputs(name):
+        digest.update(write_bicomplex(shuffle_basis(dc, seed)).encode())
+    assert digest.hexdigest() == SHUFFLE_PINS[name]
+
+
+@pytest.mark.parametrize("seed", [0, 20, 116])
+def test_shuffle_decompose_classify_solve_and_invert_nothing(monkeypatch, seed):
+    # shuffle_basis builds u and its inverse by the same row and column
+    # operations; decompose and classify run on echelons alone
+    dc, _ = random_zigzag_sum(seed)
+    calls = count_calls(monkeypatch, linalg, ("solve_right", "inverse", "rref", "rcef"))
+    shuffled = shuffle_basis(dc, seed + 10**6)
+    decompose(shuffled)
+    classify(shuffled)
+    assert not calls
