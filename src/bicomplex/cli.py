@@ -41,6 +41,7 @@ from .catalog import catalog_complex, catalog_names
 from .complexes import DoubleComplex, all_tables, de_rham_table, direct_sum
 from .errors import InternalError, ParseError, ValidationError
 from .files import (
+    ascii_int,
     parse_bicomplex,
     parse_lie,
     parse_solv,
@@ -85,10 +86,18 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgError(message)
 
 
+def _int(text: str) -> int:
+    """argparse type for an integer option, in the files' grammar -?[0-9]+."""
+    try:
+        return ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
     """argparse type for counts: a page cap or a number of seeds."""
     try:
-        n = int(text)
+        n = ascii_int(text)
     except ValueError:
         n = 0
     if n < 1:
@@ -264,7 +273,7 @@ def _cmd_splitting(args):
 def _cmd_ssmodel(args):
     g, payload = _load_lie(args.algebra)
     try:
-        numbers = tuple(int(t) for t in args.betti.split(","))
+        numbers = tuple(ascii_int(t) for t in args.betti.split(","))
     except ValueError:
         raise ParseError(f"betti must be comma-separated integers: {args.betti!r}")
     betti = BettiVector(numbers)
@@ -372,7 +381,7 @@ def build_parser() -> _Parser:
 
     p = add("selftest", _cmd_selftest)
     p.add_argument("--seeds", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int, default=0)
     return parser
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InternalError, ValidationError
-from .linalg import Column, Matrix, _columns, _combine, kron, rank, rank_columns
+from .linalg import Column, Matrix, _columns, _combine, kron, lows, rank_columns
 from .scalars import MINUS_ONE, ONE
 
 Bidegree = tuple[int, int]
@@ -207,18 +207,47 @@ def _cohomology(spaces: dict, ranks: dict, prev) -> dict:
     )
 
 
-def _ranks(maps: dict) -> dict:
-    return {i: rank(m) for i, m in maps.items()}
+def _ranks(maps: dict, prev) -> dict:
+    """The rank of each map of a chain of maps, prev(i) being the index of
+    the map into i's space, with clearing: the maps are ranked in
+    ascending index, and a column whose position is a low of the map into
+    its space is skipped.  That low's reduced column is an image, so the
+    map takes it to zero (d^2 = 0), which puts the skipped column in the
+    span of the columns before it.  This needs a validated complex."""
+    ranks: dict = {}
+    found: dict = {}  # index -> the lows of its map
+    for i in sorted(maps):
+        cleared = found.get(prev(i), ())
+        kept = [c for j, c in enumerate(_columns(maps[i])) if j not in cleared]
+        found[i] = {low for low in lows(kept) if low is not None}
+        ranks[i] = len(found[i])
+    return ranks
+
+
+def _prev(p: int) -> int:
+    return p - 1
+
+
+def _delbar_source(pq: Bidegree) -> Bidegree:
+    return pq[0], pq[1] - 1
+
+
+def _del_source(pq: Bidegree) -> Bidegree:
+    return pq[0] - 1, pq[1]
 
 
 def dolbeault_table(dc: DoubleComplex) -> dict[Bidegree, int]:
-    """dim H^{p,q} of the delbar direction, zero entries omitted."""
-    return _cohomology(dc.spaces, _ranks(dc.delbar_maps), lambda pq: (pq[0], pq[1] - 1))
+    """dim H^{p,q} of the delbar direction, zero entries omitted, from one
+    elimination per delbar map.  `all_tables` reads it off its Bott-Chern
+    and Aeppli pass instead."""
+    return _cohomology(dc.spaces, _ranks(dc.delbar_maps, _delbar_source), _delbar_source)
 
 
 def del_table(dc: DoubleComplex) -> dict[Bidegree, int]:
-    """dim H^{p,q} of the del direction, zero entries omitted."""
-    return _cohomology(dc.spaces, _ranks(dc.del_maps), lambda pq: (pq[0] - 1, pq[1]))
+    """dim H^{p,q} of the del direction, zero entries omitted, from one
+    elimination per del map.  `all_tables` reads it off its Bott-Chern and
+    Aeppli pass instead."""
+    return _cohomology(dc.spaces, _ranks(dc.del_maps, _del_source), _del_source)
 
 
 def _map_columns(maps: dict[Bidegree, Matrix]) -> dict[Bidegree, list[Column]]:
@@ -239,33 +268,48 @@ def _stacked(top: list[Column] | None, top_row: int,
     return cols
 
 
-def _bott_chern_aeppli(dc: DoubleComplex) -> tuple[dict[Bidegree, int], dict[Bidegree, int]]:
-    """The Bott-Chern and Aeppli tables, ranking del delbar out of each
-    (p, q) once: Aeppli's kernel at (p, q) and Bott-Chern's image at
-    (p + 1, q + 1).  Every map's columns are read once."""
+def _bidegree_tables(dc: DoubleComplex) -> dict[str, dict[Bidegree, int]]:
+    """The Dolbeault, del, Bott-Chern and Aeppli tables from three
+    eliminations per (p, q): del delbar out of (p, q), which gives
+    Aeppli's kernel at (p, q) and Bott-Chern's image at (p + 1, q + 1);
+    the stack of del over delbar out of (p, q); and the del and delbar
+    maps into (p, q), del's columns first.  The rank of delbar out of
+    (p, q) is the number of lows in the stack's delbar rows, which come
+    last, and the rank of del into (p, q) the number of lows among the
+    columns of del, which come first.  Every map's columns are read once."""
     dels, delbars = _map_columns(dc.del_maps), _map_columns(dc.delbar_maps)
     dd = {}
     for (p, q), cols in delbars.items():
         if (p, q + 1) in dels:
             after = dels[(p, q + 1)]
             dd[(p, q)] = rank_columns([_combine(after, c) for c in cols])
-    bc, a = {}, {}
+    bc, a, delbar_ranks, del_ranks = {}, {}, {}, {}
     for (p, q), n in dc.spaces.items():
-        both = _stacked(dels.get((p, q)), 0, delbars.get((p, q)), dc.dim(p + 1, q))
-        bc[(p, q)] = n - rank_columns(both) - dd.get((p - 1, q - 1), 0)
-        into = [*dels.get((p - 1, q), ()), *delbars.get((p, q - 1), ())]
-        a[(p, q)] = n - dd.get((p, q), 0) - rank_columns(into)
-    return _drop_zeros(bc), _drop_zeros(a)
+        top = dc.dim(p + 1, q)
+        out = [low for low in lows(_stacked(dels.get((p, q)), 0, delbars.get((p, q)), top))
+               if low is not None]
+        delbar_ranks[(p, q)] = sum(low >= top for low in out)
+        bc[(p, q)] = n - len(out) - dd.get((p - 1, q - 1), 0)
+        into_del = dels.get((p - 1, q), ())
+        into = lows([*into_del, *delbars.get((p, q - 1), ())])
+        del_ranks[(p - 1, q)] = sum(low is not None for low in into[:len(into_del)])
+        a[(p, q)] = n - dd.get((p, q), 0) - sum(low is not None for low in into)
+    return {
+        "dolbeault": _cohomology(dc.spaces, delbar_ranks, _delbar_source),
+        "del": _cohomology(dc.spaces, del_ranks, _del_source),
+        "bott_chern": _drop_zeros(bc),
+        "aeppli": _drop_zeros(a),
+    }
 
 
 def bott_chern_table(dc: DoubleComplex) -> dict[Bidegree, int]:
     """ker del  intersect  ker delbar, modulo the image of del delbar."""
-    return _bott_chern_aeppli(dc)[0]
+    return _bidegree_tables(dc)["bott_chern"]
 
 
 def aeppli_table(dc: DoubleComplex) -> dict[Bidegree, int]:
     """ker(del delbar) out of (p, q), modulo im del + im delbar."""
-    return _bott_chern_aeppli(dc)[1]
+    return _bidegree_tables(dc)["aeppli"]
 
 
 # -- total complex -------------------------------------------------------------
@@ -310,29 +354,32 @@ class TotalComplex:
 
 def de_rham_table(dc: DoubleComplex) -> dict[int, int]:
     """dim H^k of Tot, each d_k ranked from the columns of the del and
-    delbar maps out of degree k, placed at Tot's offsets."""
+    delbar maps out of degree k, placed at Tot's offsets, with clearing
+    as in `_ranks`: the degrees are ranked in ascending order, and a
+    column whose position is a low of d_{k-1} is skipped.  A space with
+    no map out has zero columns, which still take up their positions."""
     tot = TotalComplex.of(dc)
     dels, delbars = _map_columns(dc.del_maps), _map_columns(dc.delbar_maps)
-
-    def d_rank(k: int) -> int:
-        cols = []
+    ranks: dict[int, int] = {}
+    cleared: set[int] = set()  # the lows of d_{k-1}, positions in Tot^k
+    for k in tot.degrees:
+        kept: list[Column] = []
         for (p, q) in tot.parts[k]:
-            cols += _stacked(dels.get((p, q)), tot.offsets.get((p + 1, q), 0),
-                             delbars.get((p, q)), tot.offsets.get((p, q + 1), 0))
-        return rank_columns(cols)
-
-    return _cohomology(tot.dims, {k: d_rank(k) for k in tot.degrees}, lambda k: k - 1)
+            base = tot.offsets[(p, q)]
+            cols = _stacked(dels.get((p, q)), tot.offsets.get((p + 1, q), 0),
+                            delbars.get((p, q)), tot.offsets.get((p, q + 1), 0))
+            kept += [c for i, c in enumerate(cols) if base + i not in cleared]
+        cleared = {low for low in lows(kept) if low is not None}
+        ranks[k] = len(cleared)
+    return _cohomology(tot.dims, ranks, _prev)
 
 
 def all_tables(dc: DoubleComplex) -> dict[str, dict]:
-    bott_chern, aeppli = _bott_chern_aeppli(dc)
-    return {
-        "dolbeault": dolbeault_table(dc),
-        "del": del_table(dc),
-        "bott_chern": bott_chern,
-        "aeppli": aeppli,
-        "de_rham": de_rham_table(dc),
-    }
+    """All five tables from four families of eliminations: del delbar, the
+    stacks out of and into each (p, q) (see `_bidegree_tables`) and the
+    d_k of `de_rham_table`.  Neither `dolbeault_table` nor `del_table`
+    runs."""
+    return {**_bidegree_tables(dc), "de_rham": de_rham_table(dc)}
 
 
 # -- graded complexes and tensor products ------------------------------------
@@ -386,7 +433,8 @@ class SimpleComplex:
         return self
 
     def cohomology(self) -> dict[int, int]:
-        return _cohomology(self.spaces, _ranks(self.maps), lambda p: p - 1)
+        """dim H^p, zero entries omitted; trusts that d^2 = 0 (see `check`)."""
+        return _cohomology(self.spaces, _ranks(self.maps, _prev), _prev)
 
     def conjugate(self) -> SimpleComplex:
         return SimpleComplex(

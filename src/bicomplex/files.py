@@ -80,12 +80,22 @@ def _read(text: str, fields: dict[str, int | None]) -> Records:
     return out
 
 
-def _int(tok: str, lineno: int, what: str = "integer") -> int:
-    """An integer field: -?[0-9]+, not every literal that int() takes."""
+def ascii_int(tok: str) -> int:
+    """tok as an integer if it is -?[0-9]+, the one integer grammar of the
+    files and the command-line options, not every literal that int() takes
+    (`1_0`, `+1`, ` 1`, non-ASCII digits); else ValueError."""
     digits = tok.removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
-        raise ParseError(f"line {lineno}: expected {what}, got {tok!r}")
+        raise ValueError(f"expected an integer, got {tok!r}")
     return int(tok)
+
+
+def _int(tok: str, lineno: int, what: str = "integer") -> int:
+    """An integer field, by `ascii_int`."""
+    try:
+        return ascii_int(tok)
+    except ValueError:
+        raise ParseError(f"line {lineno}: expected {what}, got {tok!r}") from None
 
 
 def _scalar(tok: str, lineno: int) -> Scalar:

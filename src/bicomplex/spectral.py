@@ -5,17 +5,28 @@ the total differential del + delbar (Edelsbrunner-Letscher-Zomorodian,
 "Topological persistence and simplification", DCG 2002; Basu-Parida,
 "Spectral sequences, exact couples and persistent homology of
 filtrations", Expo. Math. 2017).  The cells are the basis vectors of
-all spaces, ordered by descending p, then descending q; in that order
-every F^p is a prefix and del + delbar is strictly upper triangular.
-Its columns are reduced left to right, each pivot being its lowest
-nonzero row, and the pages need only those lows: `spectral_pages`
-reads them off `linalg.lows`, without the column operations.  A pivot
-pair with its low row at (p_i, q_i) and its column at (p_j, q_j) has
-length r = p_i - p_j: it is a d_r from (p_j, q_j) to (p_i, q_i), so it
-adds 1 to E_s at both bidegrees for every 1 <= s <= r and 1 to the
-rank of d_r at (p_j, q_j).
+all spaces, ordered by total degree, then by descending p.  The total
+differential d = del + delbar maps each degree into the next, so the
+columns of one degree are reduced among themselves, and within a degree
+every F^p is a prefix.  Columns are reduced left to right, each pivot
+being its lowest nonzero row, and the pages need only those lows:
+`spectral_pages` reads them off `linalg.lows`, without the column
+operations.  A pivot pair with its low row at (p_i, q_i) and its column
+at (p_j, q_j) has length r = p_i - p_j: it is a d_r from (p_j, q_j) to
+(p_i, q_i), so it adds 1 to E_s at both bidegrees for every 1 <= s <= r
+and 1 to the rank of d_r at (p_j, q_j).
 Pairs of length 0 are cancelled by delbar already on E_0.  Unpaired
 cells count on every page; they make up E_infinity.
+
+Both reductions clear (Chen-Kerber, "Persistent homology computation
+with a twist", EuroCG 2011; Bauer-Kerber-Reininghaus, "Clear and
+compress: computing persistent homology in chunks", 2014): the degrees
+are reduced in ascending order, and a column whose cell is already the
+low of a column of the degree below is skipped.  That column's reduced
+R = d V has low j and d R = 0, so d e_j lies in the span of the columns
+before j in its degree: column j would reduce to zero, and its V_j, a
+boundary, would be thrown away.  So N - #pairs columns are reduced, for
+N cells.  This needs d^2 = 0, i.e. a validated complex.
 
 Both filtrations are handled by one engine: the row sequence is the
 column sequence of the transposed complex and is reported in the
@@ -53,6 +64,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 from .complexes import (
     Bidegree,
@@ -118,13 +130,14 @@ class _Reduction(_Pairing):
 
 def _total(dc: DoubleComplex, filtration: str
            ) -> tuple[DoubleComplex, list[Bidegree], dict[Bidegree, int], list[Column]]:
-    """dc (its transpose for "row"), its cells in filtration order with the
-    first cell of each space, and the columns of d = del + delbar on them."""
+    """dc (its transpose for "row"), its cells by total degree, then by
+    descending p, with the first cell of each space, and the columns of
+    d = del + delbar on them."""
     if filtration == "row":
         dc = transpose_complex(dc)
     elif filtration != "col":
         raise ValueError(f"unknown filtration {filtration!r}")
-    order = sorted(dc.spaces, reverse=True)  # descending p, then descending q
+    order = sorted(dc.spaces, key=lambda pq: (pq[0] + pq[1], -pq[0]))
     start: dict[Bidegree, int] = {}
     cells: list[Bidegree] = []
     for pq in order:
@@ -140,27 +153,43 @@ def _total(dc: DoubleComplex, filtration: str
 
 
 def _pair(dc: DoubleComplex, filtration: str) -> _Pairing:
-    """The pairs of one filtration from the lows alone: column j pairs with
-    its low, and a cell that has no low and is no low is unpaired."""
+    """The pairs of one filtration from the lows alone, with clearing, one
+    total degree at a time: column j pairs with its low, and a cell that
+    has no low and is no low is unpaired."""
     dc, cells, _, cols = _total(dc, filtration)
-    found = lows(cols)
-    pairs = [(low, j) for j, low in enumerate(found) if low is not None]
-    bounded = {low for low, _ in pairs}
-    unpaired = [j for j, low in enumerate(found) if low is None and j not in bounded]
+    pairs: list[tuple[int, int]] = []
+    unpaired: list[int] = []
+    bounded: set[int] = set()
+    for _, degree in groupby(range(len(cells)), key=lambda j: sum(cells[j])):
+        kept = [j for j in degree if j not in bounded]
+        for j, low in zip(kept, lows(cols[j] for j in kept)):
+            if low is None:
+                unpaired.append(j)
+            else:
+                pairs.append((low, j))
+                bounded.add(low)
     return _Pairing(filtration, dc, cells, pairs, unpaired)
 
 
 def _reduce(dc: DoubleComplex, filtration: str) -> _Reduction:
-    """The persistence reduction of one filtration, tracking V: one
-    echelon of the total differential in cell order.  The lows give the
-    pairs; kernel column V_j, 1 at its low j, is z_j unless j is a low,
-    where it bounds."""
+    """The persistence reduction of one filtration, tracking V, with
+    clearing: one echelon of the total differential in cell order.  The
+    lows give the pairs; the V_j of a column j that reduces to zero, 1 at
+    its low j, is z_j."""
     dc, cells, start, cols = _total(dc, filtration)
-    ech, found, free = _echelon(cols)  # R per low, V as ops
-    pairs = [(low, j) for j, low in found.items()]
-    bounded = set(found.values())
-    cocycles = {max(z): z for z in free if max(z) not in bounded}
-    return _Reduction(filtration, dc, cells, pairs, sorted(cocycles), start, ech, cocycles)
+    ech, pairs, cocycles = Echelon(), [], {}
+    bounded: set[int] = set()
+    for j, col in enumerate(cols):
+        if j in bounded:
+            continue
+        ops = {j: ONE}
+        low = ech.add(col, ops)  # R per low, V as ops
+        if low is None:
+            cocycles[j] = ops
+        else:
+            pairs.append((low, j))
+            bounded.add(low)
+    return _Reduction(filtration, dc, cells, pairs, list(cocycles), start, ech, cocycles)
 
 
 def spectral_pages(dc: DoubleComplex, filtration: str = "col",

@@ -77,8 +77,8 @@ from .linalg import (
     _from_columns,
     _subtract,
     echelon,
-    # not called here; perfbench's tracer and test_phase_b_forms_no_inverse
-    # patch zigzags.inverse by name until ROADMAP item 4 retires it
+    # not called here: perfbench's tracer wraps zigzags.inverse by name, so
+    # the import stays until the tracer drops that counter
     inverse,
     kernel,
     lows,

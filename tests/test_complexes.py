@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bicomplex import (
     DoubleComplex,
@@ -18,18 +19,23 @@ from bicomplex import (
     catalog_names,
     check_real_structure,
     decompose,
+    del_table,
     direct_sum,
+    dolbeault_table,
     euler_characteristic,
     nakamura_preset,
     nakamura_splitting_preset,
     random_solvable,
     random_zigzag_sum,
     sc,
+    shape_tables,
     shuffle_basis,
     tensor_product,
     transpose_complex,
 )
+from bicomplex import complexes
 from bicomplex.complexes import labeled_tensor_sum
+from bicomplex.linalg import rank
 from conftest import ONE_1x1
 
 
@@ -218,6 +224,37 @@ def test_transpose_swaps_tables():
     # the wedge is its own transpose
     w, _ = catalog_complex("wedge")
     assert all_tables(transpose_complex(w)) == MICRO_TABLES["wedge"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_tables_agree_with_the_chain_routes_and_the_shapes(seed, transpose):
+    # all_tables reads Dolbeault and del off its Bott-Chern/Aeppli pass;
+    # dolbeault_table and del_table rank each map of one direction, with
+    # clearing, and shape_tables counts the decomposition's vertices
+    dc = shuffle_basis(random_zigzag_sum(seed)[0], seed + 10**6)
+    if transpose:
+        dc = transpose_complex(dc)
+    tables = all_tables(dc)
+    assert tables["dolbeault"] == dolbeault_table(dc)
+    assert tables["del"] == del_table(dc)
+    assert tables == shape_tables(decompose(dc).parts)
+
+
+@pytest.mark.parametrize("seed", range(0, 40, 4))
+def test_chain_routes_skip_the_lows_of_the_map_before(monkeypatch, seed):
+    # a map's column at a low of the map into its space is never reduced
+    dc = shuffle_basis(random_zigzag_sum(seed)[0], seed + 10**6)
+    taken = []
+    lows = complexes.lows
+    monkeypatch.setattr(complexes, "lows", lambda cols: taken.append(len(cols)) or lows(cols))
+    for table, maps, source in ((dolbeault_table, dc.delbar_maps, lambda p, q: (p, q - 1)),
+                                (del_table, dc.del_maps, lambda p, q: (p - 1, q))):
+        taken.clear()
+        table(dc)
+        before = [maps.get(source(*pq)) for pq in maps]
+        assert sum(taken) == sum(m.ncols - (rank(b) if b else 0)
+                                 for m, b in zip(maps.values(), before))
 
 
 def test_euler_characteristic():

@@ -27,7 +27,8 @@ from bicomplex import (
     spectral_pages,
 )
 from bicomplex import complexes, spectral
-from conftest import ONE_1x1, staircase
+from bicomplex.linalg import Echelon
+from conftest import ONE_1x1, count_calls, staircase
 from spectral_oracle import oracle_pages, oracle_pieces
 
 
@@ -319,6 +320,50 @@ def test_real_structure_requires_row_pages_equal_to_column_pages(monkeypatch):
         classify(dc, rs)
 
 
+CLEARING_CASES = {
+    "solv-real": lambda: shuffle_basis(build_C(nakamura_preset("real"))[0], 11),
+    "splitting-real": lambda: shuffle_basis(
+        build_splitting(nakamura_splitting_preset("real"))[0], 12
+    ),
+    **{
+        f"zigzag-sum-{seed}": lambda seed=seed: shuffle_basis(
+            random_zigzag_sum(seed)[0], seed + 10**6
+        )
+        for seed in range(0, 60, 5)
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(CLEARING_CASES))
+def test_reductions_clear_every_low_and_match_the_oracle(monkeypatch, case):
+    # a column whose cell is a low of the degree below is never reduced:
+    # both reductions take N - #pairs columns, and nothing else changes
+    dc = CLEARING_CASES[case]()
+    adds, taken = [], []
+    add, lows = Echelon.add, spectral.lows
+    monkeypatch.setattr(Echelon, "add", lambda self, col, ops: adds.append(1) or add(self, col, ops))
+
+    def counted_lows(cols):
+        cols = list(cols)
+        taken.append(len(cols))
+        return lows(cols)
+
+    monkeypatch.setattr(spectral, "lows", counted_lows)
+    for filtration in ("col", "row"):
+        adds.clear()
+        red = spectral._reduce(dc, filtration)
+        assert len(adds) == len(red.cells) - len(red.pairs)
+        taken.clear()
+        pairing = spectral._pair(dc, filtration)
+        assert sum(taken) == len(red.cells) - len(red.pairs)
+        assert sorted(pairing.pairs) == sorted(red.pairs)
+        assert pairing.unpaired == list(red.cocycles)
+        pages = spectral_pages(dc, filtration)
+        assert [(pg.r, pg.dims, pg.dr_ranks) for pg in pages] == oracle_pages(dc, filtration)
+    hp = hodge_pieces(dc)
+    assert (hp.dims, hp.filtration_dims, hp.pure) == oracle_pieces(dc)
+
+
 @pytest.mark.parametrize("case", list(ORACLE_CASES))
 def test_hodge_pieces_match_definitional_oracle(case):
     dc = ORACLE_CASES[case]()
@@ -326,33 +371,26 @@ def test_hodge_pieces_match_definitional_oracle(case):
     assert (hp.dims, hp.filtration_dims, hp.pure) == oracle_pieces(dc)
 
 
-# Bott-Chern and Aeppli share one pass, which ranks each del delbar once
-TABLES = ("dolbeault_table", "del_table", "_bott_chern_aeppli", "de_rham_table")
+# the four bidegree tables come from one pass (del delbar and the stacks out
+# of and into each space), de Rham from another; the chain routes of the
+# Dolbeault and del tables do not run
+TABLES = ("_bidegree_tables", "de_rham_table")
+CHAIN_ROUTES = ("dolbeault_table", "del_table")
 
 
 def test_classify_computes_each_table_once(monkeypatch):
-    calls = Counter()
-    for name in TABLES:
-        original = getattr(complexes, name)
-
-        def counted(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
-
-        for module in (complexes, spectral):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+    calls = count_calls(monkeypatch, complexes, TABLES + CHAIN_ROUTES)
     dc = staircase(6)
     classify(dc)
     assert calls == Counter(TABLES)
 
-    # every stored delbar map is ranked once, and no absent one is fetched
-    fetched, ranked = Counter(), []
-    delbar_map, original_rank = dc.delbar_map, complexes.rank
+    # the chain route reads every stored delbar map once, and fetches no absent one
+    fetched, read = Counter(), []
+    delbar_map, columns = dc.delbar_map, complexes._columns
     monkeypatch.setattr(
         dc, "delbar_map", lambda p, q: fetched.update([(p, q)]) or delbar_map(p, q)
     )
-    monkeypatch.setattr(complexes, "rank", lambda m: ranked.append(m) or original_rank(m))
+    monkeypatch.setattr(complexes, "_columns", lambda m: read.append(m) or columns(m))
     complexes.dolbeault_table(dc)
     assert fetched == Counter()
-    assert sorted(map(id, ranked)) == sorted(map(id, dc.delbar_maps.values()))
+    assert sorted(map(id, read)) == sorted(map(id, dc.delbar_maps.values()))
