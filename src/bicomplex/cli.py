@@ -23,6 +23,11 @@ to `classify` and `decompose`, and the shape route must agree with the
 definition.  `selftest` runs the same analysis on every case and dumps
 the complex of any failure, InternalError included.
 
+`main(argv)` may be called any number of times in one process: it
+parses with one parser, built once when this module is imported, and
+keeps nothing about an input between calls, so every call reads,
+parses, validates and computes afresh.
+
 Output is deterministic.  `--format machine` emits only the grammar
 lines documented in reports.py; `--format text` adds '#' comments, so
 the machine report is exactly the text report with comments stripped.
@@ -385,10 +390,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built once per process: parse_args keeps nothing between calls
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         code, lines = args.func(args)
     except _ArgError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -44,7 +44,7 @@ from __future__ import annotations
 from .complexes import Bidegree, DoubleComplex
 from .errors import ParseError, ValidationError
 from .lie import LieAlgebra
-from .linalg import Matrix
+from .linalg import Matrix, _canonical
 from .scalars import Scalar, ZERO, format_scalar, parse_scalar
 from .solvable import SolvData
 from .splitting import Character, SplittingData
@@ -149,6 +149,12 @@ def _within_budget(log2_dim: int, what: str) -> None:
 
 
 def parse_bicomplex(text: str) -> DoubleComplex:
+    """The double complex a bicomplex file describes.
+
+    The reader drops zero entries itself, as it reads them, and builds
+    each map from its range-checked nonzero entries, so a map given only
+    zeros is not stored; the complex is built, not validated.
+    """
     records = _read(text, {"space": 3, "del": 5, "delbar": 5})
     spaces: dict[Bidegree, int] = {}
     total = 0
@@ -177,9 +183,10 @@ def parse_bicomplex(text: str) -> DoubleComplex:
             value = values.get(tok)
             if value is None:
                 value = values[tok] = _scalar(tok, lineno)
-            slots.setdefault((p, q), {})[(row, col)] = value
-        maps.append({
-            (p, q): Matrix(spaces[(p + dp, q + dq)], spaces[(p, q)], ent)
+            if value:  # zero literals are not stored
+                slots.setdefault((p, q), {})[(row, col)] = value
+        maps.append({  # entries in range and nonzero: built unchecked
+            (p, q): _canonical(spaces[(p + dp, q + dq)], spaces[(p, q)], ent)
             for (p, q), ent in slots.items()
         })
     return DoubleComplex.build(spaces, *maps)

@@ -38,7 +38,12 @@ equal the column pages, dims and d_r ranks.
 computed once per complex: E_1 against the Dolbeault table (the del
 table, transposed, for the row pages) and E_infinity against de Rham.
 An entry point that computes its own tables first runs `dc.check()`;
-one given them trusts that dc was validated.
+one given them trusts that dc was validated.  The row pairing reduces
+the same columns in the same order as `de_rham_table` (the transpose's
+cells by descending q within a degree are Tot's parts by ascending p),
+and their lows agree relative to each degree's first index.  So the
+row pages' E_infinity = de Rham check compares two bookkeepings of one
+reduction; only the column pages' check is independent of it.
 
 Hodge pieces and purity need the column operations V as well
 (de Silva-Morozov-Vejdemo-Johansson, "Dualities in persistent

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import subprocess
@@ -486,19 +487,63 @@ def test_selftest_dumps_on_an_internal_error(capsys, tmp_path, monkeypatch, real
     assert parse_bicomplex(dump.read_text()) == failed
 
 
-def test_console_script_help():
+def _child(argv: list[str]) -> tuple[int, bytes, bytes]:
+    """`python -m bicomplex.cli <argv>` in a new process: its exit code,
+    standard output and standard error."""
     # the child imports the same package as the tests, wherever it lives
     src = str(Path(bicomplex.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
-        [sys.executable, "-m", "bicomplex.cli", "--help"],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-m", "bicomplex.cli", *argv], capture_output=True, env=env
     )
-    assert proc.returncode == 0
-    assert "classify" in proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_console_script_help():
+    code, out, _ = _child(["--help"])
+    assert code == 0
+    assert b"classify" in out
+
+
+def test_console_script_prints_the_in_process_report(capsys):
+    argv = ["fss", "catalog:heisenberg3-invariant", "--filtration", "both",
+            "--format", "machine"]
+    code, out = run_cli(capsys, argv)
+    assert _child(argv) == (code, out.encode(), b"")
+
+
+def test_repeated_calls_build_no_parser_and_keep_nothing(monkeypatch, capsys, tmp_path):
+    # an argument error, a read error, then reports on one file, one repeated:
+    # each call answers as it does first in a new process, parses and
+    # validates its input afresh, and builds no parser
+    path = tmp_path / "zigzags.bicomplex"
+    path.write_text(write_bicomplex(shuffle_basis(random_zigzag_sum(3)[0], 7)))
+    fss = ["fss", str(path), "--filtration", "both"]
+    calls = [
+        ["fss", str(path), "--max-page", "0"],
+        ["cohomology", str(tmp_path / "missing.bicomplex")],
+        fss,
+        ["cohomology", str(path)],
+        fss,
+    ]
+    first = [_child(argv) for argv in calls]
+    counts = count_calls(monkeypatch, bicomplex.files, ("parse_bicomplex",))
+    original = DoubleComplex.validate
+    monkeypatch.setattr(
+        DoubleComplex, "validate",
+        lambda dc: counts.update(["validate"]) or original(dc),
+    )
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__",
+        lambda *args, **kwargs: pytest.fail("an argument parser was built"),
+    )
+    for argv, (code, out, err) in zip(calls, first):
+        assert main(argv) == code
+        got = capsys.readouterr()
+        assert (got.out.encode(), got.err.encode()) == (out, err)
+    assert [code for code, _, _ in first] == [1, 1, 0, 0, 0]
+    assert counts == {"parse_bicomplex": 3, "validate": 3}
 
 
 @pytest.mark.parametrize("verb", ["validate", "cohomology", "fss", "classify", "decompose"])

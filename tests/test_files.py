@@ -75,6 +75,46 @@ def test_bicomplex_parse_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+# a file with one record of each keyed kind, that record last, and its
+# number of key fields
+KEYED = [
+    (parse_bicomplex, "space 0 0 1\nspace 1 0 1\ndel 0 0 0 0 1\n", 4),
+    (parse_bicomplex, "space 0 0 1\nspace 0 1 1\ndelbar 0 0 0 0 1\n", 4),
+    (parse_lie, "dim 3\nbracket 1 2 3 1\n", 3),
+    (parse_splitting, "abelian 1\nnilp_dim 2\nnilp_bracket 1 2 1 1\n", 3),
+    (parse_solv, "dim 2\nweight 1 1 1\n", 2),
+    (parse_splitting, "abelian 1\nnilp_dim 2\nphi 1 1 0\n", 1),
+]
+
+
+@pytest.mark.parametrize("parse,text,nkey", KEYED, ids=lambda v: getattr(v, "__name__", None))
+@pytest.mark.parametrize("tok", ["+1", "1_0", "\uff11", "\u0661"])  # fullwidth, Arabic-Indic 1
+def test_key_fields_take_ascii_digits_only(parse, text, nkey, tok):
+    *head, last = text.splitlines()
+    lineno = len(head) + 1
+    for k in range(1, nkey + 1):
+        fields = last.split()
+        fields[k] = tok
+        with pytest.raises(ParseError) as exc:
+            parse("\n".join([*head, " ".join(fields)]) + "\n")
+        assert str(exc.value) == f"line {lineno}: expected integer, got {tok!r}"
+
+
+@pytest.mark.parametrize("zero", ["0", "-0", "0/3", "0i", "-0i", "0+0i"])
+def test_zero_entries_are_not_stored(zero):
+    # a zero literal adds nothing: not to a stored map, and a map given only
+    # zeros is not stored at all
+    base = ("space 0 0 2\nspace 1 0 2\nspace 0 1 1\nspace 1 1 1\n"
+            "del 0 0 0 0 1\ndelbar 0 0 0 1 i\n")
+    dc = parse_bicomplex(base)
+    for line in ("del 0 0 1 1", "delbar 0 0 0 0", "del 0 1 0 0", "delbar 1 0 0 1"):
+        again = parse_bicomplex(f"{base}{line} {zero}\n")
+        assert again == dc
+        assert again.del_maps.keys() == {(0, 0)} and again.delbar_maps.keys() == {(0, 0)}
+        assert all(v for m in (*again.del_maps.values(), *again.delbar_maps.values())
+                   for v in m.entries.values())
+
+
 def test_bicomplex_total_dimension_budget():
     # zero maps between the two spaces have no entries: nothing large is built
     half = MAX_TOTAL_DIM // 2
