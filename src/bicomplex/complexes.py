@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InternalError, ValidationError
-from .linalg import Column, Matrix, _columns, _combine, kron, lows, rank_columns
+from .linalg import Column, Matrix, _canonical, _columns, _combine, kron, lows, rank_columns
 from .scalars import MINUS_ONE, ONE
 
 Bidegree = tuple[int, int]
@@ -498,10 +498,9 @@ def direct_sum(
                 dst = out.setdefault((p, q), {})
                 for (r, c), v in m.entries.items():
                     dst[(to + r, so + c)] = v
+        # the summands' entries, moved: nonzero and in range already
         return {
-            (p, q): Matrix(
-                spaces.get((p + dp, q + dq), 0), spaces[(p, q)], entries
-            )
+            (p, q): _canonical(spaces[(p + dp, q + dq)], spaces[(p, q)], entries)
             for (p, q), entries in out.items()
         }
 
@@ -528,7 +527,10 @@ class RealStructure:
     coordinates, mapping (p, q) coordinates to (q, p) coordinates.
     Every builder's sigma follows one rule, conjugation of forms
     x (x) y -> (-1)^{pq} ybar (x) xbar on twisted exterior algebras,
-    written down once in `labeled_tensor_sum`.
+    written down once in `labeled_tensor_sum`: each S is a signed
+    permutation, one entry (-1)^{pq} per column, and is checked there
+    on the assembled complex by relabelling its maps' entries.
+    `check_real_structure` checks any sigma by products.
     """
 
     sigma: dict[Bidegree, Matrix]
@@ -539,12 +541,16 @@ def check_real_structure(dc: DoubleComplex, rs: RealStructure) -> list[str]:
 
     Conditions: S_{q,p} conj(S_{p,q}) = id, and sigma swaps the two
     differentials: S_{p+1,q} conj(del_{p,q}) = delbar_{q,p} S_{p,q} and
-    the mirrored condition for delbar.
+    the mirrored condition for delbar.  A sigma is needed at every
+    bidegree of dc and may be stored at no other, as a map may not be
+    stored without its endpoints.
     """
     problems = []
     for pq in dc.bidegrees():
         if pq not in rs.sigma:
             problems.append(f"structure: sigma missing at {pq}")
+    for (p, q) in sorted(rs.sigma.keys() - dc.spaces.keys()):
+        problems.append(f"structure: sigma stored at ({p},{q}) without its space")
     if problems:
         return problems
     for (p, q) in dc.bidegrees():
@@ -583,40 +589,102 @@ def labeled_tensor_sum(blocks: list) -> tuple[DoubleComplex, RealStructure]:
     tensor_product(a, b), the twist dicts they were built with, and their
     basis subsets per degree.  The basis vector (i, j) in bidegree (p, q)
     is labelled (hol twist, anti twist, a_labels[p][i], b_labels[q][j]),
-    a twist written as sorted (generator, scalar) pairs.  The one rule:
-    sigma sends that label to (conj anti twist, conj hol twist, anti
-    subset, hol subset) with sign (-1)^{pq}, i.e. x (x) y -> ybar (x) xbar.
-    A twist and a subset fix the form, so a repeated label, like a
-    missing target label, is an InternalError; so is a result failing the
-    axioms or the sigma checks, the builders having validated their data.
+    a twist written as a small int: each block interns its two twists,
+    as sorted (generator, scalar) pairs, and their conjugates once.  The
+    one rule: sigma sends that label to (conj anti twist, conj hol twist,
+    anti subset, hol subset) with sign (-1)^{pq}, i.e. x (x) y -> ybar
+    (x) xbar, so sigma at (p, q) is a permutation, column -> row of
+    (q, p), and that sign.  A twist and a subset fix the form, so a
+    repeated label, like a missing target label (named with its twists
+    as pairs), is an InternalError; so is a result failing the axioms or
+    the conditions of `check_real_structure`, which are checked on the
+    assembled complex by relabelling its stored entries (`_sigma_problems`),
+    the builders having validated their data.
     """
     dc, _ = direct_sum([tensor_product(a, b) for a, _, _, b, _, _ in blocks])
+    twists: dict[tuple, int] = {}
     labels: dict[Bidegree, list] = {}
+    targets: dict[Bidegree, list] = {}
     for _, a_twist, a_labels, _, b_twist, b_labels in blocks:
         hol, anti = tuple(sorted(a_twist.items())), tuple(sorted(b_twist.items()))
-        conj = tuple(tuple((g, v.conjugate()) for g, v in tw) for tw in (anti, hol))
+        conj_hol, conj_anti = (tuple((g, v.conjugate()) for g, v in tw) for tw in (hol, anti))
+        h, a, ch, ca = (
+            twists.setdefault(tw, len(twists)) for tw in (hol, anti, conj_hol, conj_anti)
+        )
         for p, left in a_labels.items():
             for q, right in b_labels.items():
-                labels.setdefault((p, q), []).extend(
-                    ((hol, anti, x, y), conj + (y, x)) for x in left for y in right
-                )
-    sigma: dict[Bidegree, Matrix] = {}
+                labels.setdefault((p, q), []).extend((h, a, x, y) for x in left for y in right)
+                targets.setdefault((p, q), []).extend((ca, ch, y, x) for x in left for y in right)
+    perms: dict[Bidegree, list[int]] = {}
     for (p, q) in dc.bidegrees():
-        rows = {lab: i for i, (lab, _) in enumerate(labels.get((q, p), []))}
+        labs, tlabs = labels.get((q, p), ()), targets.get((p, q), ())
+        rows = dict(zip(labs, range(len(labs))))
         if len(rows) < dc.dim(q, p):
             raise InternalError(f"basis label repeated at ({q},{p})")
-        sign = MINUS_ONE if (p * q) % 2 else ONE
-        entries = {}
-        for col, (_, tlab) in enumerate(labels[(p, q)]):
-            if tlab not in rows:
-                raise InternalError(f"sigma target label missing at ({q},{p}): {tlab!r}")
-            entries[(rows[tlab], col)] = sign
-        sigma[(p, q)] = Matrix(dc.dim(q, p), dc.dim(p, q), entries)
-    rs = RealStructure(sigma)
+        if len(labs) > dc.dim(q, p):
+            raise InternalError(f"more basis labels than dimensions at ({q},{p})")
+        try:
+            perms[(p, q)] = [rows[t] for t in tlabs]
+        except KeyError:
+            names = list(twists)
+            ca, ch, y, x = next(t for t in tlabs if t not in rows)
+            tlab = (names[ca], names[ch], y, x)
+            raise InternalError(f"sigma target label missing at ({q},{p}): {tlab!r}") from None
     bad = dc.validate()
     if bad:
         raise InternalError("built complex invalid: " + "; ".join(bad))
-    bad = check_real_structure(dc, rs)
+    bad = _sigma_problems(dc, perms)
     if bad:
         raise InternalError("built sigma invalid: " + "; ".join(bad))
-    return dc, rs
+    return dc, RealStructure({
+        (p, q): _canonical(dc.dim(q, p), dc.dim(p, q), dict.fromkeys(
+            zip(perm, range(len(perm))), MINUS_ONE if (p * q) % 2 else ONE))
+        for (p, q), perm in perms.items()
+    })
+
+
+def _sigma_problems(dc: DoubleComplex, perms: dict[Bidegree, list[int]]) -> list[str]:
+    """`check_real_structure`'s problems, in its order and words, for the
+    sigma of signed permutations perms[(p, q)] (column -> row of (q, p),
+    sign (-1)^{pq}) whose target labels were all found: no product is
+    formed, each condition is read off the stored entries.  A condition
+    whose target or mirrored target space is absent holds: both sides
+    are zero."""
+    problems = []
+    for (p, q) in dc.bidegrees():
+        perm, back = perms[(p, q)], perms.get((q, p))
+        if back is None:
+            problems.append(f"structure: sigma missing at ({q},{p})")
+            continue
+        if any(back[r] != c for c, r in enumerate(perm)):
+            problems.append(f"axiom: sigma^2 != id at ({p},{q})")
+        if (p + 1, q) in perms and (q, p + 1) in perms and not _swaps(
+            dc.del_maps.get((p, q)), perms[(p + 1, q)], perm,
+            dc.delbar_maps.get((q, p)), -1 if q % 2 else 1,
+        ):
+            problems.append(f"axiom: sigma del != delbar sigma at ({p},{q})")
+        if (p, q + 1) in perms and (q + 1, p) in perms and not _swaps(
+            dc.delbar_maps.get((p, q)), perms[(p, q + 1)], perm,
+            dc.del_maps.get((q, p)), -1 if p % 2 else 1,
+        ):
+            problems.append(f"axiom: sigma delbar != del sigma at ({p},{q})")
+    return problems
+
+
+def _swaps(m: Matrix | None, row_perm: list[int], col_perm: list[int],
+           other: Matrix | None, sign: int) -> bool:
+    """Whether S' conj(m) = other S for the signed permutations S (col_perm,
+    on m's source) and S' (row_perm, on its target) whose signs multiply
+    to `sign`: each entry (r, c) -> v of m, relabelled to (row_perm[r],
+    col_perm[c]), must be an entry sign * conj(v) of other, and other may
+    have no more entries.  An absent map is zero."""
+    if m is None or other is None:
+        return m is other
+    want = other.entries
+    if len(m.entries) != len(want):
+        return False
+    for (r, c), v in m.entries.items():
+        w = want.get((row_perm[r], col_perm[c]))
+        if w is None or w.d != v.d or w.a != sign * v.a or w.b != -sign * v.b:
+            return False
+    return True

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,20 +24,25 @@ from bicomplex import (
     direct_sum,
     dolbeault_table,
     euler_characteristic,
+    invariant_bicomplex,
+    lie_by_name,
     nakamura_preset,
     nakamura_splitting_preset,
     random_solvable,
     random_zigzag_sum,
+    realified_sl2,
     sc,
     shape_tables,
     shuffle_basis,
     tensor_product,
     transpose_complex,
 )
-from bicomplex import complexes
+from bicomplex import complexes, lie, solvable, splitting
+from bicomplex.catalog import LIE_NAMES
 from bicomplex.complexes import labeled_tensor_sum
 from bicomplex.linalg import rank
 from conftest import ONE_1x1
+from sigma_oracle import oracle_labeled_tensor_sum
 
 
 def tables(name):
@@ -307,6 +313,33 @@ def test_builder_sigma_is_a_signed_permutation(name):
     assert check_real_structure(dc, rs) == []
 
 
+ORACLE_INPUTS = {
+    **BUILT,
+    **{f"solvable-{s}-5": lambda s=s: build_C(random_solvable(s, 5)) for s in range(3)},
+    "solvable-0-6": lambda: build_C(random_solvable(0, 6)),
+    **{f"{g}-invariant": lambda g=g: invariant_bicomplex(lie_by_name(g)) for g in LIE_NAMES},
+    "realified-sl2-invariant": lambda: invariant_bicomplex(realified_sl2()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+def test_builder_matches_the_label_oracle(name, monkeypatch):
+    # the builders' blocks, fed to the definitional route as well
+    seen = []
+
+    def record(blocks):
+        seen.append(blocks)
+        return labeled_tensor_sum(blocks)
+
+    for module in (solvable, splitting, lie):
+        monkeypatch.setattr(module, "labeled_tensor_sum", record)
+    dc, rs = ORACLE_INPUTS[name]()
+    want_dc, want_rs = oracle_labeled_tensor_sum(seen[0])
+    assert dc == want_dc
+    assert dc.factors == want_dc.factors
+    assert rs.sigma == want_rs.sigma
+
+
 def test_a_missing_conjugate_block_is_an_internal_error():
     # a block twisted on its holomorphic side needs a block carrying the
     # conjugate twist on its antiholomorphic side
@@ -322,3 +355,85 @@ def test_a_repeated_label_is_an_internal_error():
     block = (dot, {}, {0: [()]}, dot, {}, {0: [()]})
     with pytest.raises(InternalError, match="repeated"):
         labeled_tensor_sum([block, block])
+
+
+DOT = SimpleComplex.build({0: 1})
+# one arrow whose map is i, so that it is not its own conjugate
+ARROW_I = SimpleComplex.build({0: 1, 1: 1}, {0: Matrix(1, 1, {(0, 0): sc(0, 1)})})
+ARROW_LABELS = {0: [()], 1: [(1,)]}
+
+
+def test_an_unconjugated_anti_factor_is_an_internal_error():
+    # the labels match, but the antiholomorphic factor carries i where its
+    # conjugate -i belongs, so sigma swaps del and delbar only up to sign;
+    # the failures are pinned in the order the checks find them
+    want = ("built sigma invalid: "
+            "axiom: sigma del != delbar sigma at (0,0); "
+            "axiom: sigma delbar != del sigma at (0,0); "
+            "axiom: sigma del != delbar sigma at (0,1); "
+            "axiom: sigma delbar != del sigma at (1,0)")
+    with pytest.raises(InternalError) as err:
+        labeled_tensor_sum([(ARROW_I, {}, ARROW_LABELS, ARROW_I, {}, ARROW_LABELS)])
+    assert str(err.value) == want
+
+
+def test_sigma_stored_without_its_space_is_a_structure_problem():
+    # as a map stored without its endpoints is, in validate
+    dc = DoubleComplex.build({(1, 1): 1}, {}, {})
+    rs = RealStructure({(1, 1): Matrix.identity(1), (2, 0): Matrix.identity(3)})
+    assert check_real_structure(dc, rs) == [
+        "structure: sigma stored at (2,0) without its space"
+    ]
+
+
+def test_more_labels_than_dimensions_is_an_internal_error():
+    dot = SimpleComplex.build({0: 1})
+    with pytest.raises(InternalError, match=re.escape("more basis labels than dimensions at (0,0)")):
+        labeled_tensor_sum([(dot, {}, {0: [(), (1,)]}, dot, {}, {0: [()]})])
+
+
+def test_builder_sigma_is_checked_without_products(monkeypatch):
+    # sigma is read off as a permutation and checked by relabelling the
+    # assembled entries; only validate's axioms form products
+    blocks = []
+    monkeypatch.setattr(solvable, "labeled_tensor_sum", lambda b: blocks.append(b))
+    build_C(random_solvable(0))
+    monkeypatch.undo()
+    calls = Counter()
+    for name in ("__matmul__", "conjugate"):
+        def wrapped(*args, _name=name, _original=getattr(Matrix, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(Matrix, name, wrapped)
+    monkeypatch.setattr(DoubleComplex, "validate", lambda self: [])
+    dc, rs = labeled_tensor_sum(blocks[0])
+    assert calls == Counter()
+    assert rs.sigma == oracle_labeled_tensor_sum(blocks[0])[1].sigma
+
+
+# a real factor whose d^2 is not zero
+D2 = SimpleComplex.build({0: 1, 1: 1, 2: 1}, {0: ONE_1x1, 1: ONE_1x1})
+D2_LABELS = {0: [()], 1: [(1,)], 2: [(1, 2)]}
+# blocks, and the start of the message that both routes raise on them
+MALFORMED_BLOCKS = {
+    "missing-conjugate": ([(DOT, {1: ONE}, {0: [()]}, DOT, {}, {0: [()]})],
+                          "sigma target label missing"),
+    "repeated": ([(DOT, {}, {0: [()]}, DOT, {}, {0: [()]})] * 2, "basis label repeated"),
+    "unconjugated": ([(ARROW_I, {}, ARROW_LABELS, ARROW_I, {}, ARROW_LABELS)],
+                     "built sigma invalid: axiom"),
+    "unlabelled-space": ([(ARROW_I, {}, {0: [()], 1: []}, DOT, {}, {0: [()]})],
+                         "built sigma invalid: structure: sigma missing at (0,1)"),
+    "invalid-complex": ([(D2, {}, D2_LABELS, D2, {}, D2_LABELS)],
+                        "built complex invalid: axiom: del^2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BLOCKS))
+def test_malformed_blocks_raise_the_oracle_text(case):
+    blocks, start = MALFORMED_BLOCKS[case]
+    with pytest.raises(InternalError) as want:
+        oracle_labeled_tensor_sum(blocks)
+    with pytest.raises(InternalError) as got:
+        labeled_tensor_sum(blocks)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(start)
