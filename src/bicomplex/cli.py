@@ -43,7 +43,7 @@ from collections import Counter
 from pathlib import Path
 
 from .catalog import catalog_complex, catalog_names
-from .complexes import DoubleComplex, all_tables, de_rham_table, direct_sum
+from .complexes import DoubleComplex, all_tables, direct_sum
 from .errors import InternalError, ParseError, ValidationError
 from .files import (
     ascii_int,
@@ -222,15 +222,24 @@ def _cmd_cohomology(args):
 
 def _cmd_fss(args):
     dc, _, payload = _load_bicomplex(args.input)
-    dc.check()
+    # spectral_pages validates dc; the row pages, built first, read de Rham
+    # off their own pairing and hand their limit to the column pages
+    pages = {}
+    if args.filtration in ("row", "both"):
+        pages["row"] = spectral_pages(dc, "row")
+    if args.filtration in ("col", "both"):
+        de_rham = None
+        if "row" in pages:
+            de_rham = Counter()
+            for (p, q), d in pages["row"][-1].dims.items():
+                de_rham[p + q] += d
+        pages["col"] = spectral_pages(dc, "col", de_rham)
     lines = provenance_lines(payload)
-    de_rham = de_rham_table(dc)  # shared by both filtrations
     for filtration, name, label in (("col", "column", "F"), ("row", "row", "Fbar")):
-        if args.filtration in (filtration, "both"):
-            pages = spectral_pages(dc, filtration, de_rham)
+        if filtration in pages:
             lines += [f"# {name} filtration pages"]
-            lines += page_lines(pages, filtration, args.max_page)
-            lines.append(f"degeneration_{label} {degeneration_page(pages)}")
+            lines += page_lines(pages[filtration], filtration, args.max_page)
+            lines.append(f"degeneration_{label} {degeneration_page(pages[filtration])}")
     return 0, lines
 
 

@@ -17,10 +17,12 @@ map, for callers that need one as an operand.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .errors import InternalError, ValidationError
-from .linalg import Column, Matrix, _canonical, _columns, _combine, kron, lows, rank_columns
+from .linalg import Column, Matrix, _canonical, _columns, _combine, lows, rank_columns
 from .scalars import MINUS_ONE, ONE
 
 Bidegree = tuple[int, int]
@@ -322,7 +324,8 @@ class TotalComplex:
     Within each degree the summands are ordered by ascending p; offsets
     give the starting coordinate of each bidegree.  The differential
     d = del + delbar (no extra signs: the two differentials anticommute)
-    is laid out from the stored maps at these offsets by its users.
+    is laid out from the stored maps at these offsets by its users.  The
+    engines use none: `_total` orders the cells of both filtrations.
     """
 
     source: DoubleComplex
@@ -352,33 +355,82 @@ class TotalComplex:
         return self.dims.get(k, 0)
 
 
+@dataclass
+class _Pairing:
+    """The pairs of one persistence reduction of dc's column filtration (dc
+    is the transpose for "row"), as cell indices, and its unpaired cells."""
+
+    filtration: str
+    dc: DoubleComplex
+    cells: list[Bidegree]
+    pairs: list[tuple[int, int]]  # (low, column)
+    unpaired: list[int]
+
+
+def _total(dc: DoubleComplex, filtration: str
+           ) -> tuple[DoubleComplex, list[Bidegree], dict[Bidegree, int], list[Column]]:
+    """dc (its transpose for "row"), its cells by total degree, then by
+    descending p, with the first cell of each space, and the columns of
+    d = del + delbar on them."""
+    if filtration == "row":
+        dc = transpose_complex(dc)
+    elif filtration != "col":
+        raise ValueError(f"unknown filtration {filtration!r}")
+    order = sorted(dc.spaces, key=lambda pq: (pq[0] + pq[1], -pq[0]))
+    start: dict[Bidegree, int] = {}
+    cells: list[Bidegree] = []
+    for pq in order:
+        start[pq] = len(cells)
+        cells += [pq] * dc.spaces[pq]
+    cols: list[Column] = [{} for _ in cells]
+    for (p, q) in order:  # d from the stored maps
+        for maps, tgt in ((dc.del_maps, (p + 1, q)), (dc.delbar_maps, (p, q + 1))):
+            if (p, q) in maps:
+                for (r, c), v in maps[(p, q)].entries.items():
+                    cols[start[(p, q)] + c][start[tgt] + r] = v
+    return dc, cells, start, cols
+
+
+def _pair(dc: DoubleComplex, filtration: str) -> _Pairing:
+    """The pairs of one filtration from the lows alone, with clearing, one
+    total degree at a time: column j pairs with its low, and a cell that
+    has no low and is no low is unpaired.  Clearing skips a column whose
+    cell is a low of the degree below, as in `_ranks`, so it needs a
+    validated complex."""
+    dc, cells, _, cols = _total(dc, filtration)
+    pairs: list[tuple[int, int]] = []
+    unpaired: list[int] = []
+    bounded: set[int] = set()
+    for _, degree in groupby(range(len(cells)), key=lambda j: sum(cells[j])):
+        kept = [j for j in degree if j not in bounded]
+        for j, low in zip(kept, lows(cols[j] for j in kept)):
+            if low is None:
+                unpaired.append(j)
+            else:
+                pairs.append((low, j))
+                bounded.add(low)
+    return _Pairing(filtration, dc, cells, pairs, unpaired)
+
+
+def _de_rham(red: _Pairing) -> dict[int, int]:
+    """dim H^k of Tot: the unpaired cells of one pairing, per total degree
+    (either filtration's; the transpose keeps p + q)."""
+    return _drop_zeros(Counter(sum(red.cells[j]) for j in red.unpaired))
+
+
 def de_rham_table(dc: DoubleComplex) -> dict[int, int]:
-    """dim H^k of Tot, each d_k ranked from the columns of the del and
-    delbar maps out of degree k, placed at Tot's offsets, with clearing
-    as in `_ranks`: the degrees are ranked in ascending order, and a
-    column whose position is a low of d_{k-1} is skipped.  A space with
-    no map out has zero columns, which still take up their positions."""
-    tot = TotalComplex.of(dc)
-    dels, delbars = _map_columns(dc.del_maps), _map_columns(dc.delbar_maps)
-    ranks: dict[int, int] = {}
-    cleared: set[int] = set()  # the lows of d_{k-1}, positions in Tot^k
-    for k in tot.degrees:
-        kept: list[Column] = []
-        for (p, q) in tot.parts[k]:
-            base = tot.offsets[(p, q)]
-            cols = _stacked(dels.get((p, q)), tot.offsets.get((p + 1, q), 0),
-                            delbars.get((p, q)), tot.offsets.get((p, q + 1), 0))
-            kept += [c for i, c in enumerate(cols) if base + i not in cleared]
-        cleared = {low for low in lows(kept) if low is not None}
-        ranks[k] = len(cleared)
-    return _cohomology(tot.dims, ranks, _prev)
+    """dim H^k of Tot, zero entries omitted, read off the row pairing:
+    its unpaired cells per total degree.  That pairing is the only
+    lows-only elimination of Tot; `spectral_pages` reads the row pages off
+    the same one.  Trusts that d^2 = 0 (see `DoubleComplex.check`)."""
+    return _de_rham(_pair(dc, "row"))
 
 
 def all_tables(dc: DoubleComplex) -> dict[str, dict]:
     """All five tables from four families of eliminations: del delbar, the
     stacks out of and into each (p, q) (see `_bidegree_tables`) and the
-    d_k of `de_rham_table`.  Neither `dolbeault_table` nor `del_table`
-    runs."""
+    row pairing of `de_rham_table`.  Neither `dolbeault_table` nor
+    `del_table` runs."""
     return {**_bidegree_tables(dc), "de_rham": de_rham_table(dc)}
 
 
@@ -456,14 +508,24 @@ def tensor_product(a: SimpleComplex, b: SimpleComplex) -> DoubleComplex:
     for p, da in a.spaces.items():
         for q, db in b.spaces.items():
             spaces[(p, q)] = da * db
+    # each factor entry copied to its kron positions: d_A's entry (r, c)
+    # to (r n + j, c n + j) for j < n = dim B^q, d_B's entry (r, c) to
+    # (i R + r, i C + c) for i < dim A^p, R x C being d_B's shape
     del_maps: dict[Bidegree, Matrix] = {}
     delbar_maps: dict[Bidegree, Matrix] = {}
     for (p, q) in spaces:
         if p in a.maps:
-            del_maps[(p, q)] = kron(a.maps[p], Matrix.identity(b.dim(q)))
+            m, n = a.maps[p], b.dim(q)
+            del_maps[(p, q)] = _canonical(m.nrows * n, m.ncols * n, {
+                (r * n + j, c * n + j): v for (r, c), v in m.entries.items() for j in range(n)
+            })
         if q in b.maps:
-            m = kron(Matrix.identity(a.dim(p)), b.maps[q])
-            delbar_maps[(p, q)] = -m if p % 2 else m
+            m = b.maps[q]
+            entries = [(r, c, -v if p % 2 else v) for (r, c), v in m.entries.items()]
+            rows, cols, n = m.nrows, m.ncols, a.dim(p)
+            delbar_maps[(p, q)] = _canonical(rows * n, cols * n, {
+                (i * rows + r, i * cols + c): v for i in range(n) for r, c, v in entries
+            })
     dc = DoubleComplex.build(spaces, del_maps, delbar_maps)
     # copies, so that a caller changing a or b later leaves the record true
     dc.factors = ((_copy(a), _copy(b), dict.fromkeys(dc.spaces, 0)),)

@@ -38,12 +38,16 @@ equal the column pages, dims and d_r ranks.
 computed once per complex: E_1 against the Dolbeault table (the del
 table, transposed, for the row pages) and E_infinity against de Rham.
 An entry point that computes its own tables first runs `dc.check()`;
-one given them trusts that dc was validated.  The row pairing reduces
-the same columns in the same order as `de_rham_table` (the transpose's
-cells by descending q within a degree are Tot's parts by ascending p),
-and their lows agree relative to each degree's first index.  So the
-row pages' E_infinity = de Rham check compares two bookkeepings of one
-reduction; only the column pages' check is independent of it.
+one given them trusts that dc was validated.  De Rham is read off the
+row pairing: persistence gives the Betti numbers as the unpaired cells
+of one reduction, counted per total degree (`complexes.de_rham_table`).
+So wherever the row pages are computed, their own reduction gives de
+Rham and no third elimination of Tot runs: in `classify` without
+tables, in `spectral_pages(dc, "row")` without de_rham, and in the
+`fss` report, which hands the row pages' limit totals to the column
+pages.  The row pages' E_infinity = de Rham check then compares two
+bookkeepings of one reduction.  The column pages' check stays
+independent: it compares a column-order elimination with a row-order one.
 
 Hodge pieces and purity need the column operations V as well
 (de Silva-Morozov-Vejdemo-Johansson, "Dualities in persistent
@@ -69,18 +73,20 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import groupby
 
 from .complexes import (
     Bidegree,
     DoubleComplex,
-    all_tables,
+    _bidegree_tables,
+    _de_rham,
+    _pair,
+    _Pairing,
+    _total,
     de_rham_table,
     dolbeault_table,
-    transpose_complex,
 )
 from .errors import InternalError
-from .linalg import Column, Echelon, _columns, _combine, _echelon, lows, rank_columns, vstack
+from .linalg import Column, Echelon, _columns, _combine, _echelon, rank_columns, vstack
 from .scalars import ONE
 
 
@@ -112,18 +118,6 @@ class Verdict:
 
 
 @dataclass
-class _Pairing:
-    """The pairs of one persistence reduction of dc's column filtration (dc
-    is the transpose for "row"), as cell indices, and its unpaired cells."""
-
-    filtration: str
-    dc: DoubleComplex
-    cells: list[Bidegree]
-    pairs: list[tuple[int, int]]  # (low, column)
-    unpaired: list[int]
-
-
-@dataclass
 class _Reduction(_Pairing):
     """A pairing with the reduction's R and V: R with its V per low, and z_j
     per unpaired cell j, each 1 at its low; start is each space's first cell."""
@@ -131,49 +125,6 @@ class _Reduction(_Pairing):
     start: dict[Bidegree, int]
     echelon: Echelon
     cocycles: dict[int, Column]
-
-
-def _total(dc: DoubleComplex, filtration: str
-           ) -> tuple[DoubleComplex, list[Bidegree], dict[Bidegree, int], list[Column]]:
-    """dc (its transpose for "row"), its cells by total degree, then by
-    descending p, with the first cell of each space, and the columns of
-    d = del + delbar on them."""
-    if filtration == "row":
-        dc = transpose_complex(dc)
-    elif filtration != "col":
-        raise ValueError(f"unknown filtration {filtration!r}")
-    order = sorted(dc.spaces, key=lambda pq: (pq[0] + pq[1], -pq[0]))
-    start: dict[Bidegree, int] = {}
-    cells: list[Bidegree] = []
-    for pq in order:
-        start[pq] = len(cells)
-        cells += [pq] * dc.spaces[pq]
-    cols: list[Column] = [{} for _ in cells]
-    for (p, q) in order:  # d from the stored maps
-        for maps, tgt in ((dc.del_maps, (p + 1, q)), (dc.delbar_maps, (p, q + 1))):
-            if (p, q) in maps:
-                for (r, c), v in maps[(p, q)].entries.items():
-                    cols[start[(p, q)] + c][start[tgt] + r] = v
-    return dc, cells, start, cols
-
-
-def _pair(dc: DoubleComplex, filtration: str) -> _Pairing:
-    """The pairs of one filtration from the lows alone, with clearing, one
-    total degree at a time: column j pairs with its low, and a cell that
-    has no low and is no low is unpaired."""
-    dc, cells, _, cols = _total(dc, filtration)
-    pairs: list[tuple[int, int]] = []
-    unpaired: list[int] = []
-    bounded: set[int] = set()
-    for _, degree in groupby(range(len(cells)), key=lambda j: sum(cells[j])):
-        kept = [j for j in degree if j not in bounded]
-        for j, low in zip(kept, lows(cols[j] for j in kept)):
-            if low is None:
-                unpaired.append(j)
-            else:
-                pairs.append((low, j))
-                bounded.add(low)
-    return _Pairing(filtration, dc, cells, pairs, unpaired)
 
 
 def _reduce(dc: DoubleComplex, filtration: str) -> _Reduction:
@@ -206,10 +157,16 @@ def spectral_pages(dc: DoubleComplex, filtration: str = "col",
     page 1 against the Dolbeault table (resp. the del table read through
     the transpose) and the last page against de Rham dimensions degree by
     degree.  Given de_rham, trusts that dc was validated; else checks dc
-    first.
+    first, and the row pages take de Rham from their own pairing.
     """
+    if filtration not in ("col", "row"):
+        raise ValueError(f"unknown filtration {filtration!r}")
     if de_rham is None:
-        de_rham = de_rham_table(dc.check())
+        dc.check()
+        if filtration == "row":
+            red = _pair(dc, "row")
+            return _checked_pages(red, _de_rham(red))
+        de_rham = de_rham_table(dc)
     return _checked_pages(_pair(dc, filtration), de_rham)
 
 
@@ -362,11 +319,14 @@ def classify(dc: DoubleComplex, rs=None,
     must agree or the engine is broken.  The shape route is left unset;
     the decomposition layer fills it.  With a real structure rs, the row
     pages must equal the column pages.  Given tables, trusts that dc was
-    validated; else checks dc first.
+    validated; else checks dc first and reads de Rham off the row reduction.
     """
-    if tables is None:
-        tables = all_tables(dc.check())
-    col_red, row_red = _reduce(dc, "col"), _reduce(dc, "row")
+    if tables is None:  # de Rham from the row reduction, run anyway
+        row_red = _reduce(dc.check(), "row")
+        tables = {**_bidegree_tables(dc), "de_rham": _de_rham(row_red)}
+    else:
+        row_red = _reduce(dc, "row")
+    col_red = _reduce(dc, "col")
     col = _checked_pages(col_red, tables["de_rham"], tables["dolbeault"])
     del_t = {(q, p): d for (p, q), d in tables["del"].items()}
     row = _checked_pages(row_red, tables["de_rham"], del_t)

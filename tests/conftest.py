@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from bicomplex import DoubleComplex, Matrix, ONE, sc
+from bicomplex import DoubleComplex, Matrix, ONE, complexes, sc, spectral
 from bicomplex.cli import main
 
 
@@ -81,6 +81,15 @@ def count_calls(monkeypatch, module, names) -> Counter:
                     getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, wrapped)
     return calls
+
+
+def record_pairings(monkeypatch) -> list[str]:
+    """The filtration of every lows-only pairing of Tot (`complexes._pair`,
+    also bound in `spectral`), in call order."""
+    seen, pair = [], complexes._pair
+    for module in (complexes, spectral):
+        monkeypatch.setattr(module, "_pair", lambda dc, f: seen.append(f) or pair(dc, f))
+    return seen
 
 
 @pytest.fixture

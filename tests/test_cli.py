@@ -32,7 +32,7 @@ from bicomplex import (
 )
 from bicomplex.cli import main
 from bicomplex.files import MAX_TOTAL_DIM
-from conftest import ONE_1x1, count_calls, run_cli, run_cli_err
+from conftest import ONE_1x1, count_calls, record_pairings, run_cli, run_cli_err
 
 WEDGE_CLASSIFY = """\
 tool_version 0.1.0
@@ -246,21 +246,38 @@ def test_fss_filtration_flag(capsys):
     assert "e col" not in out
 
 
-def test_fss_both_computes_de_rham_once(monkeypatch, capsys):
-    calls = []
-    original = complexes.de_rham_table
-    for module in (complexes, spectral, cli):
-        if getattr(module, "de_rham_table", None) is original:
-            monkeypatch.setattr(
-                module, "de_rham_table", lambda dc: calls.append(dc) or original(dc)
-            )
+def _fss_work(monkeypatch, capsys, filtration):
+    """The pairings (by filtration) and de Rham tables that one fss report
+    runs; `test_repeated_calls_build_no_parser_and_keep_nothing` pins its
+    one validation."""
+    pairings = record_pairings(monkeypatch)
+    calls = count_calls(monkeypatch, complexes, ("de_rham_table",))
     code, _ = run_cli(
         capsys,
-        ["fss", "catalog:heisenberg3-invariant", "--filtration", "both",
+        ["fss", "catalog:heisenberg3-invariant", "--filtration", filtration,
          "--format", "machine"],
     )
     assert code == 0
-    assert len(calls) == 1
+    return pairings, calls
+
+
+def test_fss_both_computes_de_rham_once(monkeypatch, capsys):
+    # one pairing per filtration: the row pages, built first, give de Rham
+    # to the column pages, and no third elimination of Tot runs
+    pairings, calls = _fss_work(monkeypatch, capsys, "both")
+    assert pairings == ["row", "col"]
+    assert calls == {}
+
+
+@pytest.mark.parametrize("filtration, pairings, tables", [
+    ("row", ["row"], {}),  # de Rham off the row pages' own pairing
+    ("col", ["row", "col"], {"de_rham_table": 1}),  # its row pairing, then the column one
+])
+def test_fss_one_filtration_pairs_once_or_twice(monkeypatch, capsys, filtration,
+                                                pairings, tables):
+    got, calls = _fss_work(monkeypatch, capsys, filtration)
+    assert got == pairings
+    assert calls == tables
 
 
 # the names the reports call: the engines' public entry points, handed

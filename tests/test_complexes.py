@@ -19,6 +19,7 @@ from bicomplex import (
     catalog_complex,
     catalog_names,
     check_real_structure,
+    de_rham_table,
     decompose,
     del_table,
     direct_sum,
@@ -40,8 +41,9 @@ from bicomplex import (
 from bicomplex import complexes, lie, solvable, splitting
 from bicomplex.catalog import LIE_NAMES
 from bicomplex.complexes import labeled_tensor_sum
-from bicomplex.linalg import rank
-from conftest import ONE_1x1
+from bicomplex.linalg import kron, rank
+from conftest import ONE_1x1, record_pairings, staircase
+from de_rham_oracle import oracle_de_rham
 from sigma_oracle import oracle_labeled_tensor_sum
 
 
@@ -437,3 +439,55 @@ def test_malformed_blocks_raise_the_oracle_text(case):
         labeled_tensor_sum(blocks)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith(start)
+
+
+def _de_rham_cases():
+    yield from (catalog_complex(name)[0] for name in catalog_names())
+    yield from (staircase(n) for n in range(4, 9))
+    yield from (shuffle_basis(random_zigzag_sum(s)[0], s + 10**6) for s in range(200))
+    yield from (build_C(random_solvable(s))[0] for s in range(4))
+    yield shuffle_basis(build_C(random_solvable(0))[0], 10**6)  # the 448-dim fss input
+
+
+def test_de_rham_table_matches_the_chain_oracle():
+    # de_rham_table counts the row pairing's unpaired cells per degree; the
+    # oracle ranks each d_k of Tot on its own.  The column pairing, a
+    # different elimination order, must give the same counts.
+    for dc in _de_rham_cases():
+        want = list(oracle_de_rham(dc).items())
+        assert list(de_rham_table(dc).items()) == want
+        assert list(complexes._de_rham(complexes._pair(dc, "col")).items()) == want
+
+
+def test_all_tables_runs_one_row_pairing(monkeypatch):
+    seen = record_pairings(monkeypatch)
+    all_tables(shuffle_basis(random_zigzag_sum(4)[0], 9))
+    assert seen == ["row"]
+
+
+KRON_INPUTS = {
+    **{f"solvable-{s}": lambda s=s: build_C(random_solvable(s)) for s in range(6)},
+    **{f"nakamura-{c}": lambda c=c: build_C(nakamura_preset(c))
+       for c in ("identically", "real")},
+    **{f"splitting-{c}": lambda c=c: build_splitting(nakamura_splitting_preset(c))
+       for c in ("identically", "real")},
+    **{f"{g}-invariant": lambda g=g: invariant_bicomplex(lie_by_name(g)) for g in LIE_NAMES},
+}
+
+
+@pytest.mark.parametrize("name", sorted(KRON_INPUTS))
+def test_tensor_product_equals_the_kron_formula(name):
+    # del = d_A (x) id and delbar = (-1)^p id (x) d_B, on every factor pair
+    dc, _ = KRON_INPUTS[name]()
+    assert dc.factors
+    for a, b, _ in dc.factors:
+        got = tensor_product(a, b)
+        assert got.spaces == {(p, q): m * n for p, m in a.spaces.items()
+                              for q, n in b.spaces.items()}
+        assert got.del_maps == {
+            (p, q): kron(a.maps[p], Matrix.identity(b.dim(q)))
+            for p, q in got.spaces if p in a.maps
+        }
+        delbar = {(p, q): kron(Matrix.identity(a.dim(p)), b.maps[q])
+                  for p, q in got.spaces if q in b.maps}
+        assert got.delbar_maps == {(p, q): -m if p % 2 else m for (p, q), m in delbar.items()}

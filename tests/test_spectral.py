@@ -28,7 +28,7 @@ from bicomplex import (
 )
 from bicomplex import complexes, spectral
 from bicomplex.linalg import Echelon
-from conftest import ONE_1x1, count_calls, staircase
+from conftest import ONE_1x1, count_calls, record_pairings, staircase
 from spectral_oracle import oracle_pages, oracle_pieces
 
 
@@ -340,7 +340,7 @@ def test_reductions_clear_every_low_and_match_the_oracle(monkeypatch, case):
     # both reductions take N - #pairs columns, and nothing else changes
     dc = CLEARING_CASES[case]()
     adds, taken = [], []
-    add, lows = Echelon.add, spectral.lows
+    add, lows = Echelon.add, complexes.lows
     monkeypatch.setattr(Echelon, "add", lambda self, col, ops: adds.append(1) or add(self, col, ops))
 
     def counted_lows(cols):
@@ -348,7 +348,7 @@ def test_reductions_clear_every_low_and_match_the_oracle(monkeypatch, case):
         taken.append(len(cols))
         return lows(cols)
 
-    monkeypatch.setattr(spectral, "lows", counted_lows)
+    monkeypatch.setattr(complexes, "lows", counted_lows)
     for filtration in ("col", "row"):
         adds.clear()
         red = spectral._reduce(dc, filtration)
@@ -372,17 +372,21 @@ def test_hodge_pieces_match_definitional_oracle(case):
 
 
 # the four bidegree tables come from one pass (del delbar and the stacks out
-# of and into each space), de Rham from another; the chain routes of the
-# Dolbeault and del tables do not run
+# of and into each space), de Rham from the row reduction classify runs
+# anyway; the chain routes of the Dolbeault and del tables, de_rham_table
+# and the lows-only pairing do not run
 TABLES = ("_bidegree_tables", "de_rham_table")
 CHAIN_ROUTES = ("dolbeault_table", "del_table")
 
 
 def test_classify_computes_each_table_once(monkeypatch):
-    calls = count_calls(monkeypatch, complexes, TABLES + CHAIN_ROUTES)
+    calls = count_calls(monkeypatch, complexes, TABLES + CHAIN_ROUTES + ("_pair",))
+    reduce = spectral._reduce
+    monkeypatch.setattr(spectral, "_reduce",
+                        lambda dc, f: calls.update(["_reduce"]) or reduce(dc, f))
     dc = staircase(6)
     classify(dc)
-    assert calls == Counter(TABLES)
+    assert calls == Counter(["_bidegree_tables", "_reduce", "_reduce"])
 
     # the chain route reads every stored delbar map once, and fetches no absent one
     fetched, read = Counter(), []
@@ -394,3 +398,29 @@ def test_classify_computes_each_table_once(monkeypatch):
     complexes.dolbeault_table(dc)
     assert fetched == Counter()
     assert sorted(map(id, read)) == sorted(map(id, dc.delbar_maps.values()))
+
+
+def test_an_unknown_filtration_is_refused_before_any_work(monkeypatch):
+    # before validation and before any elimination, also on an invalid complex
+    calls = count_calls(monkeypatch, complexes, ("lows",))
+    validate = DoubleComplex.validate
+    monkeypatch.setattr(DoubleComplex, "validate",
+                        lambda dc: calls.update(["validate"]) or validate(dc))
+    bad = DoubleComplex.build({(0, 0): 1, (1, 0): 1, (2, 0): 1},
+                              {(0, 0): ONE_1x1, (1, 0): ONE_1x1}, {})
+    for dc in (staircase(5), bad):
+        with pytest.raises(ValueError, match="unknown filtration 'diag'"):
+            spectral_pages(dc, "diag")
+    assert calls == Counter()
+    with pytest.raises(ValidationError):
+        spectral_pages(bad, "col")
+
+
+def test_row_pages_read_de_rham_off_their_own_pairing(monkeypatch):
+    seen = record_pairings(monkeypatch)
+    dc = shuffle_basis(random_zigzag_sum(8)[0], 3)
+    spectral_pages(dc, "row")
+    assert seen == ["row"]
+    seen.clear()
+    spectral_pages(dc, "col")
+    assert seen == ["row", "col"]  # de_rham_table's pairing, then its own
