@@ -2,11 +2,13 @@
 
 All formats share one envelope, read by `_read`: one record per line,
 fields separated by whitespace, `#` starts a comment, blank lines
-ignored.  Each record but gamma_trivial takes a fixed number of
-fields (phi's count depends on `abelian`).  The headers dim, abelian
-and nilp_dim each appear at most once, and a keyed record at most once
-per key, its leading integer fields (in [brackets] below); a repeat is
-a ParseError.
+ignored.  A line ends at "\\n" only: a "\\r" before it is whitespace,
+so CRLF files read as LF ones, and no other line-break character (form
+feed, U+0085, U+2028, ...) ends a record or a comment.  Each record but
+gamma_trivial takes a fixed number of fields (phi's count depends on
+`abelian`).  The headers dim, abelian and nilp_dim each appear at most
+once, and a keyed record at most once per key, its leading integer
+fields (in [brackets] below); a repeat is a ParseError.
 Integer fields are -?[0-9]+; scalars use the literal grammar of
 `scalars.parse_scalar`.
 
@@ -35,6 +37,15 @@ splitting   abelian <n>
             gamma_trivial all | identically | { <j> ... } ; { <l> ... }
             4^(n + m) past MAX_TOTAL_DIM is a ValidationError.
 
+A file with several faults reports one of them, the first in this order:
+envelope errors (unknown record, wrong field count) in file order; then
+the space keys (a malformed integer, a repeated key); then the space
+dims and the total budget, in file order, and the bounding box; then
+the del keys; then the del entries (an undeclared space, an index out
+of range, a malformed scalar) in file order; then the delbar keys and
+the delbar entries likewise.  The other readers too read every key of a
+keyed kind before any of its entries.
+
 The bicomplex writer is canonical: lines are emitted sorted
 lexicographically, so write(parse(write(x))) == write(x) byte for byte.
 """
@@ -62,11 +73,12 @@ def _read(text: str, fields: dict[str, int | None]) -> Records:
     """Each record name's (line, fields) list in file order.
 
     A record must be named in `fields` and carry fields[name] fields;
-    None leaves the count to the caller.
+    None leaves the count to the caller.  Records end at "\\n" only; a
+    "\\r" before it is whitespace.
     """
     out: Records = {name: [] for name in fields}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = raw.split("#", 1)[0].split()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        toks = raw.partition("#")[0].split()
         if not toks:
             continue
         name = toks[0]
@@ -119,20 +131,29 @@ def _header(records: Records, name: str) -> int:
     return n
 
 
+def _ints(toks: list[str], lineno: int, ints: dict[str, int]) -> tuple[int, ...]:
+    """toks as integers, by `_int`.  `ints` holds every token a reader
+    has read so far, so each distinct token is read once, at its first
+    line: a bad one raises there, a good one is looked up after that."""
+    for tok in toks:
+        if tok not in ints:
+            ints[tok] = _int(tok, lineno)
+    return tuple([ints[tok] for tok in toks])
+
+
+def _duplicate(lineno: int, name: str, head: list[str]) -> ParseError:
+    return ParseError(f"line {lineno}: duplicate {name} {' '.join(head)}")
+
+
 def _keyed(lines: Lines, name: str, nkey: int) -> dict[tuple[int, ...], tuple[int, list[str]]]:
     """{key: (line, fields after it)} in file order, the key being the
     first nkey fields as integers; a key given twice is a ParseError."""
     out: dict[tuple[int, ...], tuple[int, list[str]]] = {}
+    ints: dict[str, int] = {}
     for lineno, fs in lines:
-        head = "".join(fs[:nkey])  # with no "_", "+" or non-ASCII, int() reads -?[0-9]+
-        try:
-            if not head.isascii() or "_" in head or "+" in head:
-                raise ValueError
-            key = tuple(map(int, fs[:nkey]))
-        except ValueError:
-            key = tuple(_int(tok, lineno) for tok in fs[:nkey])  # raises, naming the token
+        key = _ints(fs[:nkey], lineno, ints)
         if key in out:
-            raise ParseError(f"line {lineno}: duplicate {name} {' '.join(fs[:nkey])}")
+            raise _duplicate(lineno, name, fs[:nkey])
         out[key] = (lineno, fs[nkey:])
     return out
 
@@ -153,7 +174,10 @@ def parse_bicomplex(text: str) -> DoubleComplex:
 
     The reader drops zero entries itself, as it reads them, and builds
     each map from its range-checked nonzero entries, so a map given only
-    zeros is not stored; the complex is built, not validated.
+    zeros is not stored; the complex is built, not validated.  Each
+    del/delbar record is visited once: its key is checked at once, and
+    its first entry error is held until the kind's last key is read, so
+    the errors come in the order the module docstring gives.
     """
     records = _read(text, {"space": 3, "del": 5, "delbar": 5})
     spaces: dict[Bidegree, int] = {}
@@ -171,24 +195,47 @@ def parse_bicomplex(text: str) -> DoubleComplex:
         if box > MAX_TOTAL_DIM:
             raise ValidationError(f"bidegrees span a box of {box} > {MAX_TOTAL_DIM}")
     maps = []
-    values: dict[str, Scalar] = {}  # each distinct literal is parsed once
+    ints: dict[str, int] = {}  # each key token read once by `_ints`, for both kinds
+    values: dict[str, Scalar | None] = {}  # each distinct literal parsed once; None if zero
     for kind, (dp, dq) in (("del", (1, 0)), ("delbar", (0, 1))):
-        slots: dict[Bidegree, dict[tuple[int, int], Scalar]] = {}
-        for (p, q, row, col), (lineno, (tok,)) in _keyed(records[kind], kind, 4).items():
-            src, tgt = spaces.get((p, q)), spaces.get((p + dp, q + dq))
-            if src is None or tgt is None:
-                raise ParseError(f"line {lineno}: {kind} at ({p},{q}) references undeclared space")
-            if not (0 <= row < tgt and 0 <= col < src):
-                raise ParseError(f"line {lineno}: entry ({row},{col}) out of range")
-            value = values.get(tok)
-            if value is None:
-                value = values[tok] = _scalar(tok, lineno)
-            if value:  # zero literals are not stored
-                slots.setdefault((p, q), {})[(row, col)] = value
-        maps.append({  # entries in range and nonzero: built unchecked
-            (p, q): _canonical(spaces[(p + dp, q + dq)], spaces[(p, q)], ent)
-            for (p, q), ent in slots.items()
-        })
+        seen: set[tuple[int, int, int, int]] = set()
+        # per source bidegree: its dim, its target's dim and its nonzero entries
+        ends: dict[Bidegree, tuple[int, int, dict[tuple[int, int], Scalar]]] = {}
+        held = None  # the first entry error, raised once every key of the kind is read
+        for lineno, (a, b, r, c, tok) in records[kind]:
+            try:
+                key = ints[a], ints[b], ints[r], ints[c]
+            except KeyError:
+                key = _ints([a, b, r, c], lineno, ints)
+            if key in seen:
+                raise _duplicate(lineno, kind, [a, b, r, c])
+            seen.add(key)
+            if held is not None:
+                continue
+            p, q, row, col = key
+            try:
+                end = ends.get((p, q))
+                if end is None:
+                    src, tgt = spaces.get((p, q)), spaces.get((p + dp, q + dq))
+                    if src is None or tgt is None:
+                        raise ParseError(
+                            f"line {lineno}: {kind} at ({p},{q}) references undeclared space")
+                    end = ends[(p, q)] = (src, tgt, {})
+                src, tgt, ent = end
+                if not (0 <= row < tgt and 0 <= col < src):
+                    raise ParseError(f"line {lineno}: entry ({row},{col}) out of range")
+                try:
+                    value = values[tok]
+                except KeyError:
+                    value = values[tok] = _scalar(tok, lineno) or None
+                if value is not None:  # zero literals are not stored
+                    ent[(row, col)] = value
+            except ParseError as exc:
+                held = exc
+        if held is not None:
+            raise held
+        # entries in range and nonzero: built unchecked; a map of zeros is not stored
+        maps.append({pq: _canonical(tgt, src, ent) for pq, (src, tgt, ent) in ends.items() if ent})
     return DoubleComplex.build(spaces, *maps)
 
 

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from bicomplex import (
     ParseError,
     ValidationError,
     all_tables,
+    build_C,
+    build_splitting,
     catalog_complex,
     catalog_names,
     heisenberg3,
@@ -14,10 +18,15 @@ from bicomplex import (
     parse_solv,
     parse_splitting,
     parse_subalgebra,
+    random_solvable,
+    random_zigzag_sum,
     sc,
+    shuffle_basis,
     write_bicomplex,
 )
 from bicomplex.files import MAX_TOTAL_DIM
+
+from files_oracle import oracle_parse_bicomplex
 
 NAK_SOLV_TEXT = """
 # Nakamura-type solvable data
@@ -73,6 +82,29 @@ def test_bicomplex_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_bicomplex(text)
     assert fragment in str(exc.value)
+
+
+def test_records_end_at_newline_only():
+    # a comment runs to the "\n", past any other line-break character
+    with pytest.raises(ParseError) as exc:
+        parse_bicomplex("space 0 0 1 # note\x85more\nbogus 1\n")
+    assert str(exc.value) == "line 2: unknown record 'bogus'"
+    # a form feed is whitespace inside a record, not a line break
+    with pytest.raises(ParseError) as exc:
+        parse_bicomplex("space 0 0 1\x0cspace 0 1 1\nbogus 1\n")
+    assert str(exc.value) == "line 1: space takes 3 fields, got 7"
+    for brk in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"):
+        with pytest.raises(ParseError) as exc:
+            parse_bicomplex(f"space 0 0 1 # a{brk}b\nspace 0 1 1\nbogus 1\n")
+        assert str(exc.value) == "line 3: unknown record 'bogus'"  # as grep -n counts
+
+
+def test_crlf_file_reads_as_lf():
+    text = write_bicomplex(build_C(nakamura_preset("real"))[0])
+    assert parse_bicomplex(text.replace("\n", "\r\n")) == parse_bicomplex(text)
+    with pytest.raises(ParseError) as exc:
+        parse_bicomplex("space 0 0 1\r\nspace 0 0 2\r\n")
+    assert str(exc.value) == "line 2: duplicate space 0 0"
 
 
 # a file with one record of each keyed kind, that record last, and its
@@ -315,3 +347,65 @@ def test_parse_splitting_errors():
         parse_splitting("abelian 1\nnilp_dim 2\ngamma_trivial { 1 } { 2 }\n")
     sp = parse_splitting("abelian 1\nnilp_dim 2\ngamma_trivial { 1 } ; { 2 }\n")
     assert sp.flags == frozenset({(frozenset({1}), frozenset({2}))})
+
+
+# written complexes the one-pass reader is checked on against the oracle:
+# the Nakamura complexes, the 448-dim random solvable one (also in a
+# random basis, for many distinct scalar literals) and shuffled zigzag
+# sums; each with the number of mutated files made from it
+ORACLE_BASES = {
+    **{f"solv-{case}": (lambda case=case: build_C(nakamura_preset(case))[0], 200)
+       for case in ("identically", "real")},
+    **{f"splitting-{case}": (
+        lambda case=case: build_splitting(nakamura_splitting_preset(case))[0], 200)
+       for case in ("identically", "real")},
+    "random_solvable-0": (lambda: build_C(random_solvable(0))[0], 100),
+    "random_solvable-0-shuffled": (
+        lambda: shuffle_basis(build_C(random_solvable(0))[0], 10**6), 30),
+    **{f"zigzag-{s}": (lambda s=s: shuffle_basis(random_zigzag_sum(s)[0], s), 200)
+       for s in range(10, 14)},
+}
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", ORACLE_BASES)
+def test_one_pass_reader_matches_oracle(name):
+    # one to three mutations per file, so several faults meet in one file
+    # and the error precedence is pinned, not only each error's text
+    build, count = ORACLE_BASES[name]
+    dc = build()
+    text = write_bicomplex(dc)
+    top = max(dc.spaces.values())  # an index out of range of every space
+    far = 1 + max(abs(x) for pq in dc.spaces for x in pq)  # a p or q no space has
+    tokens = ["1_0", "+1", "-", "x", "1/0", "0", str(top), str(far), str(-far)]
+    rng = random.Random(name)
+    errors = 0
+    for _ in range(count):
+        lines, ops = text.splitlines(), []
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+            op = rng.choice(["drop", "duplicate", "swap", "replace"])
+            if op == "drop" and len(lines) > 1:
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(j, lines[i])
+            elif op == "swap":
+                lines[i], lines[j] = lines[j], lines[i]
+            elif op == "replace":
+                fields = lines[i].split()
+                k, tok = rng.randrange(len(fields)), rng.choice(tokens)
+                fields[k] = tok
+                lines[i] = " ".join(fields)
+                op += f" field {k} by {tok}"
+            ops.append(f"{op} at line {i + 1} ({j + 1})")
+        mutated = "".join(line + "\n" for line in lines)
+        got = _outcome(parse_bicomplex, mutated)
+        assert got == _outcome(oracle_parse_bicomplex, mutated), ops
+        errors += isinstance(got, tuple)
+    assert 0 < errors < count  # some files parse, some do not
