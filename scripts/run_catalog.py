@@ -7,15 +7,12 @@ del-delbar lemma, page-1 by definition/dims/shape, purity.
 Usage: PYTHONPATH=src python scripts/run_catalog.py
 """
 from bicomplex import (
-    all_tables,
+    analyse,
     build_C,
     build_splitting,
     catalog_complex,
-    classify,
-    decompose,
     nakamura_preset,
     nakamura_splitting_preset,
-    page1_by_shape,
 )
 from bicomplex.catalog import catalog_names
 
@@ -33,16 +30,15 @@ def main():
     print(header)
     print("-" * len(header))
     for name, dc, rs in entries():
-        t = all_tables(dc.check())  # computed once, shared by both engines
-        v, _, _ = classify(dc, rs, t)
-        shape = page1_by_shape(decompose(dc, t))
+        a = analyse(dc, rs)
+        v = a.verdict
         degen = f"{v.degeneration_page_F}/{v.degeneration_page_Fbar}"
-        routes = f"{v.page1_by_definition}/{v.page1_by_dims}/{shape}"
+        routes = f"{v.page1_by_definition}/{v.page1_by_dims}/{v.page1_by_shape}"
         pure = all(v.pure.values())
         total = sum(dc.spaces.values())
         print(f"{name:<24} {total:>4} {degen:>7} {str(v.ddbar_lemma):>5} {routes:>16} {str(pure):>4}")
         hodge = " ".join(
-            f"h^{p},{q}={n}" for (p, q), n in sorted(t["dolbeault"].items())
+            f"h^{p},{q}={n}" for (p, q), n in sorted(a.tables["dolbeault"].items())
         )
         print(f"    dolbeault: {hodge or 'empty'}")
 

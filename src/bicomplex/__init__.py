@@ -10,7 +10,7 @@ independent routes that are required to agree.
 
 from .scalars import I, MINUS_ONE, ONE, Scalar, ZERO, format_scalar, parse_scalar, sc
 from .errors import InternalError, ParseError, ValidationError
-from .linalg import Matrix, hstack, inverse, kernel, kron, rank, rcef, rref, solve_right, vstack
+from .linalg import Matrix, hstack, inverse, kernel, rank, rcef, rref, solve_right, vstack
 from .subspaces import Subspace, image, preimage
 from .complexes import (
     Bidegree,
@@ -31,9 +31,11 @@ from .complexes import (
     transpose_complex,
 )
 from .spectral import (
+    Analysis,
     HodgePieces,
     SpectralPage,
     Verdict,
+    analyse,
     classify,
     degeneration_page,
     hodge_pieces,

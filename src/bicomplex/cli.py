@@ -17,11 +17,11 @@ do, and a ValidationError is printed as raised, every problem on one
 line.  `_builtin` is the one place a library error about a name becomes
 a parse error.
 
-A classify, solv or splitting report analyses its complex once
-(`_analyse`): checked, its five tables are computed once and handed
-to `classify` and `decompose`, and the shape route must agree with the
-definition.  `selftest` runs the same analysis on every case and dumps
-the complex of any failure, InternalError included.
+A classify, solv or splitting report analyses its complex once, with
+`spectral.analyse`: its tables once, Tot eliminated once per filtration,
+the shape route checked against the definition.  `selftest` runs the
+same analysis on every case and dumps the complex of any failure,
+InternalError included.
 
 `main(argv)` may be called any number of times in one process: it
 parses with one parser, built once when this module is imported, and
@@ -71,15 +71,9 @@ from .reports import (
     verdict_lines,
 )
 from .solvable import build_C, nakamura_preset, random_solvable
-from .spectral import classify, degeneration_page, spectral_pages
+from .spectral import analyse, degeneration_page, limit_totals, spectral_pages
 from .splitting import build_splitting, nakamura_splitting_preset
-from .zigzags import (
-    decompose,
-    page1_by_shape,
-    random_zigzag_sum,
-    report_lines,
-    shuffle_basis,
-)
+from .zigzags import decompose, random_zigzag_sum, report_lines, shuffle_basis
 
 
 class _ArgError(Exception):
@@ -169,30 +163,15 @@ def _h_section(dc: DoubleComplex, tables: dict) -> list[str]:
     return lines
 
 
-def _analyse(dc: DoubleComplex, rs=None):
-    """The tables, the verdict with both page lists and the decomposition
-    of dc, validated first: the tables are computed once and feed both
-    engines, and the shape route must agree with the definition."""
-    tables = all_tables(dc.check())
-    verdict, col_pages, row_pages = classify(dc, rs, tables)
-    decomp = decompose(dc, tables)
-    verdict.page1_by_shape = page1_by_shape(decomp)
-    if verdict.page1_by_shape != verdict.page1_by_definition:
-        raise InternalError(
-            "decomposition shape route disagrees with the degeneration route"
-        )
-    return tables, verdict, col_pages, row_pages, decomp
-
-
 def _classify_report(dc, rs, payload, max_page):
-    tables, verdict, col_pages, row_pages, _ = _analyse(dc, rs)
+    a = analyse(dc, rs)
     lines = provenance_lines(payload)
-    lines += _h_section(dc, tables)
+    lines += _h_section(dc, a.tables)
     lines += ["# column filtration pages"]
-    lines += page_lines(col_pages, "col", max_page)
+    lines += page_lines(a.col_pages, "col", max_page)
     lines += ["# row filtration pages"]
-    lines += page_lines(row_pages, "row", max_page)
-    lines += verdict_lines(verdict)
+    lines += page_lines(a.row_pages, "row", max_page)
+    lines += verdict_lines(a.verdict)
     return lines
 
 
@@ -228,11 +207,7 @@ def _cmd_fss(args):
     if args.filtration in ("row", "both"):
         pages["row"] = spectral_pages(dc, "row")
     if args.filtration in ("col", "both"):
-        de_rham = None
-        if "row" in pages:
-            de_rham = Counter()
-            for (p, q), d in pages["row"][-1].dims.items():
-                de_rham[p + q] += d
+        de_rham = limit_totals(pages["row"]) if "row" in pages else None
         pages["col"] = spectral_pages(dc, "col", de_rham)
     lines = provenance_lines(payload)
     for filtration, name, label in (("col", "column", "F"), ("row", "row", "Fbar")):
@@ -250,8 +225,7 @@ def _cmd_classify(args):
 
 def _cmd_decompose(args):
     dc, _, payload = _load_bicomplex(args.input)
-    decomp = decompose(dc, all_tables(dc.check()))
-    return 0, provenance_lines(payload) + report_lines(decomp)
+    return 0, provenance_lines(payload) + report_lines(decompose(dc))
 
 
 def _cmd_lie(args):
@@ -329,15 +303,15 @@ def _cmd_selftest(args):
     lines = [f"# selftest over seeds {base}..{base + n - 1}"]
     for name, seed, dc, rs, planted, page1 in _selftest_cases(base, n):
         try:
-            _, verdict, _, _, decomp = _analyse(dc, rs)
+            a = analyse(dc, rs)
         except InternalError as e:
             why = str(e)
         else:
-            got = Counter(shape for shape, m in decomp.parts for _ in range(m))
+            got = Counter(shape for shape, m in a.decomposition.parts for _ in range(m))
             why = None
             if planted is not None and got != planted:
                 why = "shape multiset mismatch"
-            elif page1 is not None and verdict.page1_by_definition != page1:
+            elif page1 is not None and a.verdict.page1_by_definition != page1:
                 why = f"page-1 verdict is not {_bool(page1)}"
         if why:
             lines.append(f"# {name}: {why}")

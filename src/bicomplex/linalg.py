@@ -252,15 +252,6 @@ def vstack(mats: Iterable[Matrix]) -> Matrix:
     return _canonical(off, ncols, entries)
 
 
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; index (i, j) of a pair maps to i * dim_b + j."""
-    entries: dict[Entry, Scalar] = {}
-    for (ra, ca), va in a.entries.items():
-        for (rb, cb), vb in b.entries.items():
-            entries[(ra * b.nrows + rb, ca * b.ncols + cb)] = va * vb
-    return _canonical(a.nrows * b.nrows, a.ncols * b.ncols, entries)
-
-
 # -- elimination -----------------------------------------------------------
 
 

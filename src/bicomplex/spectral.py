@@ -34,20 +34,21 @@ transposed lattice.  With a real structure, conjugation identifies the
 transpose with the complex, so `classify` checks that the row pages
 equal the column pages, dims and d_r ranks.
 
-`classify` checks both page lists against the five cohomology tables,
-computed once per complex: E_1 against the Dolbeault table (the del
-table, transposed, for the row pages) and E_infinity against de Rham.
-An entry point that computes its own tables first runs `dc.check()`;
-one given them trusts that dc was validated.  De Rham is read off the
-row pairing: persistence gives the Betti numbers as the unpaired cells
-of one reduction, counted per total degree (`complexes.de_rham_table`).
-So wherever the row pages are computed, their own reduction gives de
-Rham and no third elimination of Tot runs: in `classify` without
-tables, in `spectral_pages(dc, "row")` without de_rham, and in the
-`fss` report, which hands the row pages' limit totals to the column
-pages.  The row pages' E_infinity = de Rham check then compares two
-bookkeepings of one reduction.  The column pages' check stays
-independent: it compares a column-order elimination with a row-order one.
+`classify` checks both page lists against the cohomology tables: E_1
+against the Dolbeault table (the del table, transposed, for the row
+pages) and E_infinity against de Rham.  An entry point that computes
+its own tables first runs `dc.check()`; one given them trusts that dc
+was validated.  De Rham is the unpaired cells of one reduction of Tot
+per total degree, so wherever the row pages are computed it is read off
+their own reduction: `classify` always does so (a de Rham table it is
+given is ignored), as does `spectral_pages(dc, "row")` without de_rham,
+and `fss` hands the row pages' `limit_totals` to the column pages.  The
+row pages' E_infinity = de Rham check then compares two bookkeepings of
+one reduction; the column pages' check stays independent, a
+column-order elimination against a row-order one.  `analyse`, the one
+analysis behind every report, runs the four bidegree tables, `classify`
+on them and `decompose` on all five, de Rham being the row pages'
+limit: two eliminations of Tot per report.
 
 Hodge pieces and purity need the column operations V as well
 (de Silva-Morozov-Vejdemo-Johansson, "Dualities in persistent
@@ -88,6 +89,7 @@ from .complexes import (
 from .errors import InternalError
 from .linalg import Column, Echelon, _columns, _combine, _echelon, rank_columns, vstack
 from .scalars import ONE
+from .zigzags import Decomposition, decompose, page1_by_shape
 
 
 @dataclass
@@ -317,33 +319,29 @@ def classify(dc: DoubleComplex, rs=None,
     Routes: definition (degeneration pages + purity) and the dimension
     identity (Aeppli + Bott-Chern = Dolbeault + del per total degree)
     must agree or the engine is broken.  The shape route is left unset;
-    the decomposition layer fills it.  With a real structure rs, the row
-    pages must equal the column pages.  Given tables, trusts that dc was
-    validated; else checks dc first and reads de Rham off the row reduction.
+    `analyse` fills it.  With a real structure rs, the row pages must
+    equal the column pages.  Given tables, uses their four bidegree
+    tables and trusts that dc was validated; else checks dc first.  De
+    Rham always comes from the row reduction.
     """
-    if tables is None:  # de Rham from the row reduction, run anyway
-        row_red = _reduce(dc.check(), "row")
-        tables = {**_bidegree_tables(dc), "de_rham": _de_rham(row_red)}
-    else:
-        row_red = _reduce(dc, "row")
-    col_red = _reduce(dc, "col")
-    col = _checked_pages(col_red, tables["de_rham"], tables["dolbeault"])
+    if tables is None:
+        tables = _bidegree_tables(dc.check())
+    row_red, col_red = _reduce(dc, "row"), _reduce(dc, "col")
+    de_rham = _de_rham(row_red)
+    col = _checked_pages(col_red, de_rham, tables["dolbeault"])
     del_t = {(q, p): d for (p, q), d in tables["del"].items()}
-    row = _checked_pages(row_red, tables["de_rham"], del_t)
+    row = _checked_pages(row_red, de_rham, del_t)
     if rs is not None and row != [replace(pg, filtration="row") for pg in col]:
         raise InternalError("row pages differ from column pages despite a real structure")
     deg_f = degeneration_page(col)
     deg_fbar = degeneration_page(row)
     pure = _pieces(col_red, row_red).pure
     all_pure = all(pure.values())
-
-    def total(names: tuple[str, str], k: int) -> int:
-        return sum(d for n in names for (p, q), d in tables[n].items() if p + q == k)
-
-    by_dims = all(
-        total(("aeppli", "bott_chern"), k) == total(("dolbeault", "del"), k)
-        for k in {p + q for n in tables if n != "de_rham" for p, q in tables[n]}
-    )
+    excess: Counter = Counter()  # Aeppli + Bott-Chern - Dolbeault - del per total degree
+    for name, sign in (("aeppli", 1), ("bott_chern", 1), ("dolbeault", -1), ("del", -1)):
+        for (p, q), d in tables[name].items():
+            excess[p + q] += sign * d
+    by_dims = not any(excess.values())
     by_def = deg_f <= 2 and deg_fbar <= 2 and all_pure
     if by_def != by_dims:
         raise InternalError(
@@ -360,3 +358,33 @@ def classify(dc: DoubleComplex, rs=None,
         e1_degenerate=deg_f == 1 and deg_fbar == 1,
     )
     return verdict, col, row
+
+
+def limit_totals(pages: list[SpectralPage]) -> dict[int, int]:
+    """De Rham from a checked page list: its last page's dims per total degree."""
+    dims = pages[-1].dims
+    return {k: sum(d for (p, q), d in dims.items() if p + q == k)
+            for k in sorted({p + q for p, q in dims})}
+
+
+@dataclass
+class Analysis:
+    tables: dict
+    verdict: Verdict  # page1_by_shape set
+    col_pages: list[SpectralPage]
+    row_pages: list[SpectralPage]
+    decomposition: Decomposition
+
+
+def analyse(dc: DoubleComplex, rs=None) -> Analysis:
+    """The five tables, the verdict, both page lists and the decomposition
+    of dc, validated first: `classify` on the four bidegree tables, de Rham
+    off its row pages, `decompose` on all five; the shape route must agree."""
+    tables = _bidegree_tables(dc.check())
+    verdict, col_pages, row_pages = classify(dc, rs, tables)
+    tables["de_rham"] = limit_totals(row_pages)
+    decomp = decompose(dc, tables)
+    verdict.page1_by_shape = page1_by_shape(decomp)
+    if verdict.page1_by_shape != verdict.page1_by_definition:
+        raise InternalError("decomposition shape route disagrees with the degeneration route")
+    return Analysis(tables, verdict, col_pages, row_pages, decomp)

@@ -10,6 +10,7 @@ import pytest
 
 from bicomplex import DoubleComplex, Matrix, ONE, complexes, sc, spectral
 from bicomplex.cli import main
+from bicomplex.linalg import _canonical
 
 
 ONE_1x1 = Matrix(1, 1, {(0, 0): ONE})
@@ -53,6 +54,15 @@ def staircase(nverts: int, start=(0, 0)) -> DoubleComplex:
     return DoubleComplex.build(spaces, del_maps, delbar_maps)
 
 
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product; index (i, j) of a pair maps to i * dim_b + j."""
+    entries = {}
+    for (ra, ca), va in a.entries.items():
+        for (rb, cb), vb in b.entries.items():
+            entries[(ra * b.nrows + rb, ca * b.ncols + cb)] = va * vb
+    return _canonical(a.nrows * b.nrows, a.ncols * b.ncols, entries)
+
+
 def random_matrix(rng: random.Random, nrows: int, ncols: int, density=0.6) -> Matrix:
     entries = {}
     for r in range(nrows):
@@ -80,6 +90,16 @@ def count_calls(monkeypatch, module, names) -> Counter:
             if getattr(mod, "__name__", "").startswith("bicomplex") and \
                     getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, wrapped)
+    return calls
+
+
+def count_reductions(monkeypatch) -> Counter:
+    """Calls of the four-table pass, `de_rham_table`, the lows-only pairing of
+    Tot (`complexes._pair`) and the V-tracked one (`spectral._reduce`)."""
+    calls = count_calls(monkeypatch, complexes, ("_bidegree_tables", "de_rham_table", "_pair"))
+    reduce = spectral._reduce
+    monkeypatch.setattr(spectral, "_reduce",
+                        lambda dc, f: calls.update(["_reduce"]) or reduce(dc, f))
     return calls
 
 

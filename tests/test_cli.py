@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from bicomplex import (
     InternalError,
     ONE,
     ValidationError,
+    analyse,
     build_C,
     catalog_complex,
     catalog_names,
@@ -32,7 +34,14 @@ from bicomplex import (
 )
 from bicomplex.cli import main
 from bicomplex.files import MAX_TOTAL_DIM
-from conftest import ONE_1x1, count_calls, record_pairings, run_cli, run_cli_err
+from conftest import (
+    ONE_1x1,
+    count_calls,
+    count_reductions,
+    record_pairings,
+    run_cli,
+    run_cli_err,
+)
 
 WEDGE_CLASSIFY = """\
 tool_version 0.1.0
@@ -280,8 +289,8 @@ def test_fss_one_filtration_pairs_once_or_twice(monkeypatch, capsys, filtration,
     assert calls == tables
 
 
-# the names the reports call: the engines' public entry points, handed
-# the known tables
+# the names the reports call, where they are looked up: the engines'
+# public entry points, which `analyse` calls with the known tables
 @pytest.mark.parametrize(
     "callee, argv",
     [
@@ -303,7 +312,7 @@ def test_other_exceptions_exit_3_with_one_line(monkeypatch, capsys, callee, argv
     def fail(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, callee, fail)
+    monkeypatch.setattr(cli if callee == "ce_complex" else spectral, callee, fail)
     code = main(argv + ["--format", "machine"])
     out, err = capsys.readouterr()
     assert code == 3 and out == ""
@@ -311,7 +320,8 @@ def test_other_exceptions_exit_3_with_one_line(monkeypatch, capsys, callee, argv
 
 
 # the four bidegree tables come from one pass (del delbar and the stacks out
-# of and into each space), de Rham from another; the chain routes of the
+# of and into each space); de Rham from the row pages' reduction in an
+# analysis, else from `de_rham_table`'s row pairing; the chain routes of the
 # Dolbeault and del tables do not run
 TABLE_FUNCTIONS = ("_bidegree_tables", "de_rham_table")
 CHAIN_ROUTES = ("dolbeault_table", "del_table")
@@ -329,7 +339,23 @@ def test_each_table_is_computed_once_per_complex(monkeypatch, capsys, argv, call
     counts = count_calls(monkeypatch, complexes, TABLE_FUNCTIONS + CHAIN_ROUTES)
     code, _ = run_cli(capsys, [*argv, "--format", "machine"])
     assert code == 0
-    assert counts == dict.fromkeys(TABLE_FUNCTIONS, calls)
+    # an analysis (classify, solv, splitting) runs no de_rham_table
+    de_rham = calls if argv[0] in ("decompose", "cohomology") else 0
+    assert counts == Counter(_bidegree_tables=calls, de_rham_table=de_rham)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "catalog:heisenberg3-invariant"],
+    ["solv", "nakamura:real"],
+    ["splitting", "nakamura:identically"],
+])
+def test_a_report_eliminates_tot_once_per_filtration(monkeypatch, capsys, argv):
+    # one analysis: its tables once, one V-tracked reduction per filtration,
+    # de Rham off the row one, and no lows-only pairing besides
+    calls = count_reductions(monkeypatch)
+    code, _ = run_cli(capsys, [*argv, "--format", "machine"])
+    assert code == 0
+    assert calls == {"_bidegree_tables": 1, "_reduce": 2}
 
 
 @pytest.mark.parametrize("argv, calls", [
@@ -359,7 +385,7 @@ def test_analysis_makes_no_rref_call(monkeypatch):
     inputs = [catalog_complex(name) for name in catalog_names()]
     inputs += [build_C(random_solvable(seed)) for seed in range(4)]
     for dc, rs in inputs:
-        cli._analyse(dc, rs)
+        analyse(dc, rs)
     assert not calls
 
 
@@ -379,7 +405,7 @@ def test_analysis_builds_no_fraction(monkeypatch):
     assert ONE.re == 1 and built  # the count sees the views
     built.clear()
     for dc, rs in inputs:
-        cli._analyse(dc, rs)
+        analyse(dc, rs)
     assert not built
 
 
@@ -482,14 +508,14 @@ def test_selftest_small(capsys, tmp_path, monkeypatch):
 def test_selftest_dumps_on_an_internal_error(capsys, tmp_path, monkeypatch, real_only, name):
     # classify breaks on the first complex, or on the first solvable one
     monkeypatch.chdir(tmp_path)
-    classify = cli.classify
+    classify = spectral.classify
 
     def failing(dc, rs, tables):
         if real_only and rs is None:
             return classify(dc, rs, tables)
         raise InternalError("page 1 disagrees with Dolbeault dimensions")
 
-    monkeypatch.setattr(cli, "classify", failing)
+    monkeypatch.setattr(spectral, "classify", failing)
     code, out = run_cli(capsys, ["selftest", "--seeds", "2"])
     assert code == 3
     dump = tmp_path / "selftest_counterexample_0.bicomplex"

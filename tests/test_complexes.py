@@ -41,8 +41,8 @@ from bicomplex import (
 from bicomplex import complexes, lie, solvable, splitting
 from bicomplex.catalog import LIE_NAMES
 from bicomplex.complexes import labeled_tensor_sum
-from bicomplex.linalg import kron, rank
-from conftest import ONE_1x1, record_pairings, staircase
+from bicomplex.linalg import rank
+from conftest import ONE_1x1, kron, record_pairings, staircase
 from de_rham_oracle import oracle_de_rham
 from sigma_oracle import oracle_labeled_tensor_sum
 

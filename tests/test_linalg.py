@@ -13,7 +13,6 @@ from bicomplex import (
     hstack,
     inverse,
     kernel,
-    kron,
     rank,
     rcef,
     rref,
@@ -22,7 +21,7 @@ from bicomplex import (
     vstack,
 )
 from bicomplex.linalg import Echelon, _columns, _subtract, echelon, lows
-from conftest import random_matrix
+from conftest import kron, random_matrix
 from scalar_oracle import PairScalar
 
 

@@ -9,6 +9,7 @@ from bicomplex import (
     InternalError,
     ValidationError,
     all_tables,
+    analyse,
     build_C,
     build_splitting,
     catalog_complex,
@@ -21,6 +22,7 @@ from bicomplex import (
     lie_by_name,
     nakamura_preset,
     nakamura_splitting_preset,
+    page1_by_shape,
     random_solvable,
     random_zigzag_sum,
     shuffle_basis,
@@ -28,7 +30,7 @@ from bicomplex import (
 )
 from bicomplex import complexes, spectral
 from bicomplex.linalg import Echelon
-from conftest import ONE_1x1, count_calls, record_pairings, staircase
+from conftest import ONE_1x1, count_calls, count_reductions, record_pairings, staircase
 from spectral_oracle import oracle_pages, oracle_pieces
 
 
@@ -85,7 +87,7 @@ def test_public_engines_refuse_an_invalid_complex():
         {(0, 0): ONE_1x1, (1, 0): ONE_1x1},
     )
     assert bad.validate()
-    for engine in (classify, decompose, spectral_pages, hodge_pieces):
+    for engine in (analyse, classify, decompose, spectral_pages, hodge_pieces):
         with pytest.raises(ValidationError, match="del delbar"):
             engine(bad)
 
@@ -424,3 +426,60 @@ def test_row_pages_read_de_rham_off_their_own_pairing(monkeypatch):
     seen.clear()
     spectral_pages(dc, "col")
     assert seen == ["row", "col"]  # de_rham_table's pairing, then its own
+
+
+# -- one analysis per complex -------------------------------------------------
+
+
+def _analysis_cases():
+    """(name, complex, real structure or None): every catalog complex, the
+    builders' presets, random solvable complexes and shuffled zigzag sums."""
+    for name in catalog_names():
+        yield name, *catalog_complex(name)
+    for flavor in ("identically", "real"):
+        yield f"solv {flavor}", *build_C(nakamura_preset(flavor))
+        yield f"splitting {flavor}", *build_splitting(nakamura_splitting_preset(flavor))
+    for seed in range(4):
+        yield f"random_solvable({seed})", *build_C(random_solvable(seed))
+    for seed in range(20):
+        yield f"zigzags {seed}", shuffle_basis(random_zigzag_sum(seed)[0], seed + 7), None
+
+
+def test_analyse_equals_the_engines_run_separately():
+    for name, dc, rs in _analysis_cases():
+        a = analyse(dc, rs)
+        verdict, col, row = classify(dc, rs)
+        decomp = decompose(dc)
+        verdict.page1_by_shape = page1_by_shape(decomp)
+        assert a.tables == all_tables(dc), name
+        assert (a.verdict, a.col_pages, a.row_pages) == (verdict, col, row), name
+        assert a.decomposition.parts == decomp.parts, name
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (staircase(6), None),
+    lambda: build_C(nakamura_preset("real")),
+    lambda: (shuffle_basis(random_zigzag_sum(4)[0], 9), None),
+], ids=["staircase", "nakamura-real", "zigzags"])
+def test_analyse_eliminates_tot_once_per_filtration(monkeypatch, make):
+    # the tables once, one V-tracked reduction per filtration (de Rham off
+    # the row one) and no lows-only pairing of Tot
+    dc, rs = make()
+    calls = count_reductions(monkeypatch)
+    analyse(dc, rs)
+    assert calls == {"_bidegree_tables": 1, "_reduce": 2}
+
+
+def test_classify_reads_de_rham_off_its_own_reduction():
+    # a de Rham table handed in with the others is not consulted
+    dc = shuffle_basis(random_zigzag_sum(8)[0], 3)
+    wrong = {**all_tables(dc), "de_rham": {0: 99}}
+    assert classify(dc, None, wrong) == classify(dc)
+
+
+@pytest.mark.parametrize("name", ["wedge", "square"])
+def test_analyse_requires_the_shape_route_to_agree(monkeypatch, name):
+    dc, rs = catalog_complex(name)
+    monkeypatch.setattr(spectral, "page1_by_shape", lambda d: not page1_by_shape(d))
+    with pytest.raises(InternalError, match="shape route disagrees"):
+        analyse(dc, rs)
