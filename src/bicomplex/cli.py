@@ -71,7 +71,7 @@ from .reports import (
     verdict_lines,
 )
 from .solvable import build_C, nakamura_preset, random_solvable
-from .spectral import analyse, degeneration_page, limit_totals, spectral_pages
+from .spectral import analyse, degeneration_page, spectral_pages
 from .splitting import build_splitting, nakamura_splitting_preset
 from .zigzags import decompose, random_zigzag_sum, report_lines, shuffle_basis
 
@@ -202,13 +202,8 @@ def _cmd_cohomology(args):
 def _cmd_fss(args):
     dc, _, payload = _load_bicomplex(args.input)
     # spectral_pages validates dc; the row pages, built first, read de Rham
-    # off their own pairing and hand their limit to the column pages
-    pages = {}
-    if args.filtration in ("row", "both"):
-        pages["row"] = spectral_pages(dc, "row")
-    if args.filtration in ("col", "both"):
-        de_rham = limit_totals(pages["row"]) if "row" in pages else None
-        pages["col"] = spectral_pages(dc, "col", de_rham)
+    # off their own pairing and leave it in dc's memo for the column pages
+    pages = {f: spectral_pages(dc, f) for f in ("row", "col") if args.filtration in (f, "both")}
     lines = provenance_lines(payload)
     for filtration, name, label in (("col", "column", "F"), ("row", "row", "Fbar")):
         if filtration in pages:

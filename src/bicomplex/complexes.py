@@ -13,13 +13,22 @@ when it is nonzero and both its source and its target are present.
 the stored maps and the three axioms where they meet.  `del_map`,
 `delbar_map` and `SimpleComplex.map` give a shaped zero for an absent
 map, for callers that need one as an operand.
+
+A `DoubleComplex` is a value: its mappings are read-only copies and its
+fields cannot be rebound (its `Matrix` maps must not be changed either,
+which is not enforced).  So what is computed from a complex stays true
+of it, and each complex keeps, privately, what the engines compute from
+it once: that `check` passed, the four bidegree tables, de Rham and the
+Hodge pieces (see `DoubleComplex`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import groupby
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import InternalError, ValidationError
 from .linalg import Column, Matrix, _canonical, _columns, _combine, lows, rank_columns
@@ -28,20 +37,42 @@ from .scalars import MINUS_ONE, ONE
 Bidegree = tuple[int, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DoubleComplex:
-    """factors, when not empty, records the complex as a direct sum of
+    """An immutable double complex.  spaces, del_maps and delbar_maps are
+    read-only copies of the mappings passed in, and no field can be
+    rebound.
+
+    factors, when not empty, records the complex as a direct sum of
     tensor products: one (a, b, offsets) per summand tensor_product(a, b),
     offsets[(p, q)] being its first coordinate in the (p, q) space.  Only
     `tensor_product` and `direct_sum` set it.  `decompose` reads its parts
-    off it and certifies them as any others; it is not compared or shown."""
+    off it and certifies them as any others; it is not compared or shown.
 
-    spaces: dict[Bidegree, int]
-    del_maps: dict[Bidegree, Matrix]
-    delbar_maps: dict[Bidegree, Matrix]
+    _memo is what the engines have computed from this very object, small
+    records only: "valid" once `check` has passed (a failure is not
+    kept), "tables" (the four bidegree tables), "de_rham" (from whichever
+    row elimination of Tot ran first) and "pieces" (`HodgePieces`).  A
+    reader copies what it hands out, so a caller cannot change the memo.
+    A new object, also one made by `dataclasses.replace`,
+    `transpose_complex` or `shuffle_basis`, starts with an empty memo."""
+
+    spaces: Mapping[Bidegree, int]
+    del_maps: Mapping[Bidegree, Matrix]
+    delbar_maps: Mapping[Bidegree, Matrix]
     factors: tuple[tuple[SimpleComplex, SimpleComplex, dict[Bidegree, int]], ...] = field(
         default=(), compare=False, repr=False
     )
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("spaces", "del_maps", "delbar_maps"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    def __reduce__(self):
+        # a read-only mapping does not pickle; a copy starts with an empty memo
+        return DoubleComplex, (dict(self.spaces), dict(self.del_maps), dict(self.delbar_maps),
+                               self.factors)
 
     # -- construction ---------------------------------------------------
 
@@ -161,10 +192,23 @@ class DoubleComplex:
         return problems
 
     def check(self) -> DoubleComplex:
-        problems = self.validate()
-        if problems:
-            raise ValidationError("; ".join(problems))
+        """self, once `validate` has found nothing: raises ValidationError
+        with every problem otherwise.  Validates once per object."""
+        if "valid" not in self._memo:
+            problems = self.validate()
+            if problems:
+                raise ValidationError("; ".join(problems))
+            self._memo["valid"] = True
         return self
+
+
+def _known(dc: DoubleComplex, key: str, compute):
+    """dc's memo entry key, compute(dc) on the first call.  The entry
+    itself: a caller hands out a copy."""
+    memo = dc._memo
+    if key not in memo:
+        memo[key] = compute(dc)
+    return memo[key]
 
 
 def _vanishes(*pairs: tuple[Matrix | None, Matrix | None]) -> bool:
@@ -270,6 +314,11 @@ def _stacked(top: list[Column] | None, top_row: int,
     return cols
 
 
+def _tables(dc: DoubleComplex) -> dict[str, dict[Bidegree, int]]:
+    """dc's four bidegree tables, computed once per complex; fresh dicts."""
+    return {name: dict(t) for name, t in _known(dc, "tables", _bidegree_tables).items()}
+
+
 def _bidegree_tables(dc: DoubleComplex) -> dict[str, dict[Bidegree, int]]:
     """The Dolbeault, del, Bott-Chern and Aeppli tables from three
     eliminations per (p, q): del delbar out of (p, q), which gives
@@ -306,12 +355,12 @@ def _bidegree_tables(dc: DoubleComplex) -> dict[str, dict[Bidegree, int]]:
 
 def bott_chern_table(dc: DoubleComplex) -> dict[Bidegree, int]:
     """ker del  intersect  ker delbar, modulo the image of del delbar."""
-    return _bidegree_tables(dc)["bott_chern"]
+    return _tables(dc)["bott_chern"]
 
 
 def aeppli_table(dc: DoubleComplex) -> dict[Bidegree, int]:
     """ker(del delbar) out of (p, q), modulo im del + im delbar."""
-    return _bidegree_tables(dc)["aeppli"]
+    return _tables(dc)["aeppli"]
 
 
 # -- total complex -------------------------------------------------------------
@@ -422,16 +471,26 @@ def de_rham_table(dc: DoubleComplex) -> dict[int, int]:
     """dim H^k of Tot, zero entries omitted, read off the row pairing:
     its unpaired cells per total degree.  That pairing is the only
     lows-only elimination of Tot; `spectral_pages` reads the row pages off
-    the same one.  Trusts that d^2 = 0 (see `DoubleComplex.check`)."""
-    return _de_rham(_pair(dc, "row"))
+    the same one.  Goes into dc's memo if no row elimination of dc has put
+    de Rham there yet; the engines read it there (`_known_de_rham`).
+    Trusts that d^2 = 0 (see `DoubleComplex.check`)."""
+    de_rham = _de_rham(_pair(dc, "row"))
+    dc._memo.setdefault("de_rham", de_rham)
+    return dict(de_rham)
+
+
+def _known_de_rham(dc: DoubleComplex) -> dict[int, int]:
+    """dc's de Rham table, a fresh dict: from its memo, else `de_rham_table`."""
+    known = dc._memo.get("de_rham")
+    return dict(known) if known is not None else de_rham_table(dc)
 
 
 def all_tables(dc: DoubleComplex) -> dict[str, dict]:
-    """All five tables from four families of eliminations: del delbar, the
-    stacks out of and into each (p, q) (see `_bidegree_tables`) and the
-    row pairing of `de_rham_table`.  Neither `dolbeault_table` nor
-    `del_table` runs."""
-    return {**_bidegree_tables(dc), "de_rham": de_rham_table(dc)}
+    """All five tables, fresh dicts, each computed once per complex: the
+    four bidegree tables from three families of eliminations (see
+    `_bidegree_tables`) and de Rham from the first row elimination of Tot
+    (`_known_de_rham`).  Neither `dolbeault_table` nor `del_table` runs."""
+    return {**_tables(dc), "de_rham": _known_de_rham(dc)}
 
 
 # -- graded complexes and tensor products ------------------------------------
@@ -528,8 +587,7 @@ def tensor_product(a: SimpleComplex, b: SimpleComplex) -> DoubleComplex:
             })
     dc = DoubleComplex.build(spaces, del_maps, delbar_maps)
     # copies, so that a caller changing a or b later leaves the record true
-    dc.factors = ((_copy(a), _copy(b), dict.fromkeys(dc.spaces, 0)),)
-    return dc
+    return replace(dc, factors=((_copy(a), _copy(b), dict.fromkeys(dc.spaces, 0)),))
 
 
 def direct_sum(
@@ -570,11 +628,11 @@ def direct_sum(
         spaces, assemble("del", 1, 0), assemble("delbar", 0, 1)
     )
     if all(summand.factors for summand in summands):
-        dc.factors = tuple(
+        dc = replace(dc, factors=tuple(
             (a, b, {pq: offs[pq] + o for pq, o in inner.items()})
             for summand, offs in zip(summands, offsets)
             for a, b, inner in summand.factors
-        )
+        ))
     return dc, offsets
 
 
@@ -661,7 +719,8 @@ def labeled_tensor_sum(blocks: list) -> tuple[DoubleComplex, RealStructure]:
     as pairs), is an InternalError; so is a result failing the axioms or
     the conditions of `check_real_structure`, which are checked on the
     assembled complex by relabelling its stored entries (`_sigma_problems`),
-    the builders having validated their data.
+    the builders having validated their data.  The complex comes back
+    checked (see `DoubleComplex.check`).
     """
     dc, _ = direct_sum([tensor_product(a, b) for a, _, _, b, _, _ in blocks])
     twists: dict[tuple, int] = {}
@@ -692,9 +751,10 @@ def labeled_tensor_sum(blocks: list) -> tuple[DoubleComplex, RealStructure]:
             ca, ch, y, x = next(t for t in tlabs if t not in rows)
             tlab = (names[ca], names[ch], y, x)
             raise InternalError(f"sigma target label missing at ({q},{p}): {tlab!r}") from None
-    bad = dc.validate()
-    if bad:
-        raise InternalError("built complex invalid: " + "; ".join(bad))
+    try:
+        dc.check()  # kept in dc's memo: the engines do not validate it again
+    except ValidationError as e:
+        raise InternalError(f"built complex invalid: {e}") from None
     bad = _sigma_problems(dc, perms)
     if bad:
         raise InternalError("built sigma invalid: " + "; ".join(bad))

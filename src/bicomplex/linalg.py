@@ -43,6 +43,11 @@ def _coerce(v: object) -> Scalar:
 
 @dataclass
 class Matrix:
+    """A sparse nrows x ncols matrix: entries maps (row, col) to a nonzero
+    Scalar.  A Matrix must not be changed once it is made: a
+    `DoubleComplex` holds its maps by reference and keeps what it
+    computes from them.  Nothing enforces this."""
+
     nrows: int
     ncols: int
     entries: dict[Entry, Scalar] = field(default_factory=dict)

@@ -36,19 +36,23 @@ equal the column pages, dims and d_r ranks.
 
 `classify` checks both page lists against the cohomology tables: E_1
 against the Dolbeault table (the del table, transposed, for the row
-pages) and E_infinity against de Rham.  An entry point that computes
-its own tables first runs `dc.check()`; one given them trusts that dc
-was validated.  De Rham is the unpaired cells of one reduction of Tot
-per total degree, so wherever the row pages are computed it is read off
-their own reduction: `classify` always does so (a de Rham table it is
-given is ignored), as does `spectral_pages(dc, "row")` without de_rham,
-and `fss` hands the row pages' `limit_totals` to the column pages.  The
+pages) and E_infinity against de Rham.  Every entry point runs
+`dc.check()` first, which validates a complex once (see
+`DoubleComplex`); the four bidegree tables, de Rham and the Hodge
+pieces are likewise computed once per complex and kept in its memo, by
+whichever engine needs them first.  De Rham is the unpaired cells of
+one reduction of Tot per total degree, so wherever the row pages are
+computed it is read off their own reduction, which fills the memo if it
+is the first: `classify` always reads it so (never off the memo), as
+does `spectral_pages(dc, "row")`, while the column pages of
+`spectral_pages` take it from the memo, or from `de_rham_table`.  The
 row pages' E_infinity = de Rham check then compares two bookkeepings of
 one reduction; the column pages' check stays independent, a
-column-order elimination against a row-order one.  `analyse`, the one
-analysis behind every report, runs the four bidegree tables, `classify`
-on them and `decompose` on all five, de Rham being the row pages'
-limit: two eliminations of Tot per report.
+column-order elimination against a row-order one.  The E_1 checks of
+`spectral_pages` use the chain routes `dolbeault_table` and
+`del_table`, which are not kept.  `analyse`, the one analysis behind
+every report, runs `classify` and then `decompose`, which finds the
+tables in the memo: two eliminations of Tot per report.
 
 Hodge pieces and purity need the column operations V as well
 (de Silva-Morozov-Vejdemo-Johansson, "Dualities in persistent
@@ -78,12 +82,14 @@ from dataclasses import dataclass, replace
 from .complexes import (
     Bidegree,
     DoubleComplex,
-    _bidegree_tables,
     _de_rham,
+    _known,
+    _known_de_rham,
     _pair,
     _Pairing,
+    _tables,
     _total,
-    de_rham_table,
+    all_tables,
     dolbeault_table,
 )
 from .errors import InternalError
@@ -150,26 +156,27 @@ def _reduce(dc: DoubleComplex, filtration: str) -> _Reduction:
     return _Reduction(filtration, dc, cells, pairs, list(cocycles), start, ech, cocycles)
 
 
-def spectral_pages(dc: DoubleComplex, filtration: str = "col",
-                   de_rham: dict | None = None) -> list[SpectralPage]:
+def spectral_pages(dc: DoubleComplex, filtration: str = "col") -> list[SpectralPage]:
     """All pages through the hard vanishing bound, with d_r ranks.
 
     Read off the lows of one column reduction (see the module
     docstring).  The page dims are checked against the rank recursion,
     page 1 against the Dolbeault table (resp. the del table read through
     the transpose) and the last page against de Rham dimensions degree by
-    degree.  Given de_rham, trusts that dc was validated; else checks dc
-    first, and the row pages take de Rham from their own pairing.
+    degree.  Checks dc first.  The row pages take de Rham from their own
+    pairing, and leave it in dc's memo; the column pages take it from
+    the memo, so after the row pages they eliminate Tot only once.
     """
     if filtration not in ("col", "row"):
         raise ValueError(f"unknown filtration {filtration!r}")
-    if de_rham is None:
-        dc.check()
-        if filtration == "row":
-            red = _pair(dc, "row")
-            return _checked_pages(red, _de_rham(red))
-        de_rham = de_rham_table(dc)
-    return _checked_pages(_pair(dc, filtration), de_rham)
+    dc.check()
+    if filtration == "col":
+        de_rham = _known_de_rham(dc)
+        return _checked_pages(_pair(dc, "col"), de_rham)
+    red = _pair(dc, "row")
+    de_rham = _de_rham(red)
+    dc._memo.setdefault("de_rham", de_rham)
+    return _checked_pages(red, de_rham)
 
 
 def _checked_pages(red: _Pairing, de_rham: dict, e1: dict | None = None) -> list[SpectralPage]:
@@ -307,27 +314,27 @@ def hodge_pieces(dc: DoubleComplex) -> HodgePieces:
     (k, p) -> (dim F^p H^k, dim F̄^{k-p} H^k) for p_min <= p <= p_max + 1;
     and pure: per total degree k, whether H^k is the direct sum of its
     pieces, i.e. carries a pure Hodge structure of weight k.  Checks dc
-    first."""
-    dc.check()
-    return _pieces(_reduce(dc, "col"), _reduce(dc, "row"))
+    first.  Computed once per complex, by this or by `classify`; each
+    call returns a fresh copy."""
+    hp = _known(dc.check(), "pieces", lambda dc: _pieces(_reduce(dc, "col"), _reduce(dc, "row")))
+    return HodgePieces(dict(hp.dims), dict(hp.filtration_dims), dict(hp.pure))
 
 
-def classify(dc: DoubleComplex, rs=None,
-             tables: dict | None = None) -> tuple[Verdict, list[SpectralPage], list[SpectralPage]]:
+def classify(dc: DoubleComplex, rs=None) -> tuple[Verdict, list[SpectralPage], list[SpectralPage]]:
     """Verdict plus both page lists (column first).
 
     Routes: definition (degeneration pages + purity) and the dimension
     identity (Aeppli + Bott-Chern = Dolbeault + del per total degree)
     must agree or the engine is broken.  The shape route is left unset;
     `analyse` fills it.  With a real structure rs, the row pages must
-    equal the column pages.  Given tables, uses their four bidegree
-    tables and trusts that dc was validated; else checks dc first.  De
-    Rham always comes from the row reduction.
+    equal the column pages.  Checks dc first.  De Rham always comes from
+    its own row reduction, never from dc's memo; it and the Hodge pieces
+    go into the memo if they are not there yet.
     """
-    if tables is None:
-        tables = _bidegree_tables(dc.check())
+    tables = _tables(dc.check())
     row_red, col_red = _reduce(dc, "row"), _reduce(dc, "col")
     de_rham = _de_rham(row_red)
+    dc._memo.setdefault("de_rham", de_rham)
     col = _checked_pages(col_red, de_rham, tables["dolbeault"])
     del_t = {(q, p): d for (p, q), d in tables["del"].items()}
     row = _checked_pages(row_red, de_rham, del_t)
@@ -335,7 +342,9 @@ def classify(dc: DoubleComplex, rs=None,
         raise InternalError("row pages differ from column pages despite a real structure")
     deg_f = degeneration_page(col)
     deg_fbar = degeneration_page(row)
-    pure = _pieces(col_red, row_red).pure
+    pieces = _pieces(col_red, row_red)
+    dc._memo.setdefault("pieces", pieces)
+    pure = dict(pieces.pure)
     all_pure = all(pure.values())
     excess: Counter = Counter()  # Aeppli + Bott-Chern - Dolbeault - del per total degree
     for name, sign in (("aeppli", 1), ("bott_chern", 1), ("dolbeault", -1), ("del", -1)):
@@ -360,13 +369,6 @@ def classify(dc: DoubleComplex, rs=None,
     return verdict, col, row
 
 
-def limit_totals(pages: list[SpectralPage]) -> dict[int, int]:
-    """De Rham from a checked page list: its last page's dims per total degree."""
-    dims = pages[-1].dims
-    return {k: sum(d for (p, q), d in dims.items() if p + q == k)
-            for k in sorted({p + q for p, q in dims})}
-
-
 @dataclass
 class Analysis:
     tables: dict
@@ -378,13 +380,12 @@ class Analysis:
 
 def analyse(dc: DoubleComplex, rs=None) -> Analysis:
     """The five tables, the verdict, both page lists and the decomposition
-    of dc, validated first: `classify` on the four bidegree tables, de Rham
-    off its row pages, `decompose` on all five; the shape route must agree."""
-    tables = _bidegree_tables(dc.check())
-    verdict, col_pages, row_pages = classify(dc, rs, tables)
-    tables["de_rham"] = limit_totals(row_pages)
-    decomp = decompose(dc, tables)
+    of dc: `classify`, which validates dc and leaves its tables, de Rham
+    off its row reduction and the Hodge pieces in dc's memo, then
+    `decompose`, which finds them there; the shape route must agree."""
+    verdict, col_pages, row_pages = classify(dc, rs)
+    decomp = decompose(dc)
     verdict.page1_by_shape = page1_by_shape(decomp)
     if verdict.page1_by_shape != verdict.page1_by_definition:
         raise InternalError("decomposition shape route disagrees with the degeneration route")
-    return Analysis(tables, verdict, col_pages, row_pages, decomp)
+    return Analysis(all_tables(dc), verdict, col_pages, row_pages, decomp)

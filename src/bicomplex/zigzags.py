@@ -8,7 +8,8 @@ factor into dots and arrows, and a piece of a times a piece of b is a
 dot, a del line, a delbar line or a square.  Every other complex (one
 built, parsed, shuffled or transposed) takes phases A and B below.
 
-The active subcomplex is kept in its own coordinates.  Each shrink of
+The active subcomplex (`_Active`, private and changed in place, unlike
+the input) is kept in its own coordinates.  Each shrink of
 an active space multiplies its basis by a K that is 1 at each column's
 low and 0 at the other columns' lows (a canonical kernel basis, or unit
 columns), so the maps into it keep the rows at K's lows, checked to
@@ -54,7 +55,9 @@ one pass over the sorted parts), onto the input literally
 (d C = C d_model, so C^-1 d C is the model without forming C^-1).
 Independently, the five tables that the shapes give by Stelzig's local
 rules (`shape_tables`) must match the input's, which are computed from
-the assembled complex and never from its factors.
+the assembled complex and never from its factors, by the one table
+engine (`all_tables`), once per complex: an engine that ran before on
+the same complex, `classify` say, left them in its memo.
 """
 
 from __future__ import annotations
@@ -135,7 +138,21 @@ def _units(n: int, rows: list[int]) -> Matrix:
     return Matrix(n, len(rows), {(i, j): ONE for j, i in enumerate(rows)})
 
 
-def _shrink(act: dict[Bidegree, Matrix], cur: DoubleComplex, pq: Bidegree, k: Matrix) -> None:
+@dataclass
+class _Active:
+    """The active subcomplex in its own coordinates, edited in place by
+    `_shrink`: a spent space stays at dim 0 and loses its maps."""
+
+    spaces: dict[Bidegree, int]
+    del_maps: dict[Bidegree, Matrix]
+    delbar_maps: dict[Bidegree, Matrix]
+
+    dim = DoubleComplex.dim
+    del_map = DoubleComplex.del_map
+    delbar_map = DoubleComplex.delbar_map
+
+
+def _shrink(act: dict[Bidegree, Matrix], cur: _Active, pq: Bidegree, k: Matrix) -> None:
     """Shrink the active space at pq to the span of act[pq] @ k.  A map into
     it must keep its image in that span, or the differential leaks.  An
     empty k spends the space: its maps leave cur, since absent means zero."""
@@ -163,7 +180,7 @@ def _shrink(act: dict[Bidegree, Matrix], cur: DoubleComplex, pq: Bidegree, k: Ma
             maps[pq] = maps[pq] @ k
 
 
-def _phase_a(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex) -> list[_RawPart]:
+def _phase_a(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: _Active) -> list[_RawPart]:
     parts: list[_RawPart] = []
     for (p, q) in sorted(dc.bidegrees(), key=lambda pq: (pq[0] + pq[1], pq[0])):
         corners = [(p, q), (p + 1, q), (p, q + 1), (p + 1, q + 1)]
@@ -217,7 +234,7 @@ class _End:
         return self.string.verts[self.vid][1]
 
 
-def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: DoubleComplex) -> list[_RawPart]:
+def _phase_b(dc: DoubleComplex, act: dict[Bidegree, Matrix], cur: _Active) -> list[_RawPart]:
     parts: list[_RawPart] = []
     support = dc.bidegrees()
     if not support:
@@ -394,17 +411,15 @@ def _edges(part: _RawPart) -> list[tuple[Bidegree, Bidegree, Scalar]]:
     return [(u, v, ONE) if sum(u) < sum(v) else (v, u, ONE) for u, v in zip(bids, bids[1:])]
 
 
-def decompose(dc: DoubleComplex, tables: dict | None = None) -> Decomposition:
-    """The certified square/zigzag decomposition of dc.  Given tables,
-    trusts that dc was validated; else checks dc first."""
-    if tables is None:
-        tables = all_tables(dc.check())
+def decompose(dc: DoubleComplex) -> Decomposition:
+    """The certified square/zigzag decomposition of dc.  Checks dc first;
+    its tables come from dc's memo when an engine has computed them."""
+    tables = all_tables(dc.check())
     if dc.factors:
         raw = _factored_parts(dc)
     else:
         act = {pq: Matrix.identity(dc.spaces[pq]) for pq in dc.spaces}
-        # the active subcomplex in its own coordinates; spent spaces stay at dim 0
-        cur = DoubleComplex(dict(dc.spaces), dict(dc.del_maps), dict(dc.delbar_maps))
+        cur = _Active(dict(dc.spaces), dict(dc.del_maps), dict(dc.delbar_maps))
         raw = _phase_a(dc, act, cur) + _phase_b(dc, act, cur)
     ranked = sorted(((_shape_of(part), part) for part in raw), key=lambda sp: _sort_key(sp[0]))
 
@@ -430,7 +445,7 @@ def decompose(dc: DoubleComplex, tables: dict | None = None) -> Decomposition:
             raise InternalError(f"the parts give no basis at {pq}")
         change[pq] = _from_columns(n, vs)
     spaces = dc.spaces  # now also the model's
-    model = DoubleComplex(dict(spaces), *(
+    model = DoubleComplex(spaces, *(
         {(p, q): _canonical(spaces[(p + dp, q + dq)], spaces[(p, q)], e)
          for (p, q), e in maps.items()}
         for maps, dp, dq in ((dels, 1, 0), (delbars, 0, 1))

@@ -510,9 +510,9 @@ def test_selftest_dumps_on_an_internal_error(capsys, tmp_path, monkeypatch, real
     monkeypatch.chdir(tmp_path)
     classify = spectral.classify
 
-    def failing(dc, rs, tables):
+    def failing(dc, rs):
         if real_only and rs is None:
-            return classify(dc, rs, tables)
+            return classify(dc, rs)
         raise InternalError("page 1 disagrees with Dolbeault dimensions")
 
     monkeypatch.setattr(spectral, "classify", failing)

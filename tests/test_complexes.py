@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import re
 from collections import Counter
 
@@ -13,18 +16,22 @@ from bicomplex import (
     RealStructure,
     SimpleComplex,
     ValidationError,
+    aeppli_table,
     all_tables,
+    bott_chern_table,
     build_C,
     build_splitting,
     catalog_complex,
     catalog_names,
     check_real_structure,
+    classify,
     de_rham_table,
     decompose,
     del_table,
     direct_sum,
     dolbeault_table,
     euler_characteristic,
+    hodge_pieces,
     invariant_bicomplex,
     lie_by_name,
     nakamura_preset,
@@ -491,3 +498,65 @@ def test_tensor_product_equals_the_kron_formula(name):
         delbar = {(p, q): kron(Matrix.identity(a.dim(p)), b.maps[q])
                   for p, q in got.spaces if q in b.maps}
         assert got.delbar_maps == {(p, q): -m if p % 2 else m for (p, q), m in delbar.items()}
+
+
+# -- a complex is a value, with a memo per object ------------------------------
+
+
+def test_a_complex_cannot_be_changed():
+    spaces = {(0, 0): 1, (1, 0): 1, (1, 1): 1}
+    dc = DoubleComplex.build(spaces, {(0, 0): ONE_1x1}, {(1, 0): ONE_1x1})
+    spaces[(2, 2)] = 1  # the complex holds a copy
+    assert (2, 2) not in dc.spaces
+    for mapping, key, value in ((dc.spaces, (0, 0), 2),
+                                (dc.del_maps, (1, 1), ONE_1x1),
+                                (dc.delbar_maps, (0, 0), ONE_1x1)):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+        with pytest.raises(TypeError):
+            del mapping[next(iter(mapping))]
+    for name in ("spaces", "del_maps", "delbar_maps", "factors", "_memo"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(dc, name, getattr(dc, name))
+    assert (dict(dc.spaces), list(dc.del_maps), list(dc.delbar_maps)) == (
+        {(0, 0): 1, (1, 0): 1, (1, 1): 1}, [(0, 0)], [(1, 0)])
+
+
+def test_copies_start_with_an_empty_memo():
+    dc, rs = catalog_complex("heisenberg3-invariant")
+    assert dc._memo == {"valid": True}  # the builder's check
+    classify(dc, rs)
+    assert set(dc._memo) == {"valid", "tables", "de_rham", "pieces"}
+    copies = {
+        "constructor": DoubleComplex(dict(dc.spaces), dict(dc.del_maps), dict(dc.delbar_maps)),
+        "replace": dataclasses.replace(dc),
+        "transpose": transpose_complex(dc),
+        "shuffle": shuffle_basis(dc, 1),
+    }
+    copies["pickle"] = pickle.loads(pickle.dumps(dc))
+    copies["deepcopy"] = copy.deepcopy(dc)
+    for how, c in copies.items():
+        assert c._memo == {}, how
+    for how in ("pickle", "deepcopy"):
+        assert copies[how] == dc and copies[how].factors == dc.factors, how
+    assert copies["replace"].factors == dc.factors and copies["replace"] == dc
+    assert copies["constructor"] == dc
+
+
+def test_the_memo_hands_out_copies():
+    # whatever a caller does to what an engine returned, the next call and
+    # a fresh copy agree
+    dc, rs = catalog_complex("heisenberg3-invariant")
+    fresh = dataclasses.replace(dc)
+    verdict, _, _ = classify(dc, rs)
+    verdict.pure.clear()
+    for t in all_tables(dc).values():
+        t.clear()
+    for table in (bott_chern_table, aeppli_table, de_rham_table):
+        table(dc).clear()
+    pieces = hodge_pieces(dc)
+    for d in (pieces.dims, pieces.filtration_dims, pieces.pure):
+        d.clear()
+    assert all_tables(dc) == all_tables(fresh)
+    assert hodge_pieces(dc) == hodge_pieces(fresh)
+    assert classify(dc, rs) == classify(fresh, rs)

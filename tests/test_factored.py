@@ -9,6 +9,7 @@ certificate, so a wrong factor record must end in InternalError.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -172,8 +173,8 @@ def test_a_changed_factor_record_is_an_internal_error(sa, sb, pick):
     r, c = rng.randrange(m.nrows), rng.randrange(m.ncols)
     changed = Matrix(m.nrows, m.ncols, {**m.entries, (r, c): m.get(r, c) + ONE})
     wrong = SimpleComplex(dict(side.spaces), {**side.maps, p: changed})
-    bad = plain(dc)
-    bad.factors = ((wrong, b, dc.factors[0][2]),) if side is a else ((a, wrong, dc.factors[0][2]),)
+    bad = dataclasses.replace(
+        dc, factors=((wrong, b, dc.factors[0][2]),) if side is a else ((a, wrong, dc.factors[0][2]),))
     with pytest.raises(InternalError):
         decompose(bad)
 
@@ -181,8 +182,7 @@ def test_a_changed_factor_record_is_an_internal_error(sa, sb, pick):
 def test_a_record_that_does_not_fit_is_an_internal_error():
     seg = SimpleComplex.build({0: 1, 1: 1}, {0: Matrix(1, 1, {(0, 0): ONE})})
     dc = tensor_product(seg, seg)
-    bad = plain(dc)
-    bad.factors = ((seg, seg, {pq: 1 for pq in dc.spaces}),)
+    bad = dataclasses.replace(dc, factors=((seg, seg, {pq: 1 for pq in dc.spaces}),))
     with pytest.raises(InternalError, match="does not fit"):
         decompose(bad)
 

@@ -88,8 +88,9 @@ def test_public_engines_refuse_an_invalid_complex():
     )
     assert bad.validate()
     for engine in (analyse, classify, decompose, spectral_pages, hodge_pieces):
-        with pytest.raises(ValidationError, match="del delbar"):
-            engine(bad)
+        for _ in range(2):  # a failed check is not kept: the second call fails too
+            with pytest.raises(ValidationError, match="del delbar"):
+                engine(bad)
 
 
 def test_row_pages_live_in_the_transposed_lattice():
@@ -392,9 +393,10 @@ def test_classify_computes_each_table_once(monkeypatch):
 
     # the chain route reads every stored delbar map once, and fetches no absent one
     fetched, read = Counter(), []
-    delbar_map, columns = dc.delbar_map, complexes._columns
+    delbar_map, columns = DoubleComplex.delbar_map, complexes._columns
     monkeypatch.setattr(
-        dc, "delbar_map", lambda p, q: fetched.update([(p, q)]) or delbar_map(p, q)
+        DoubleComplex, "delbar_map",
+        lambda self, p, q: fetched.update([(p, q)]) or delbar_map(self, p, q),
     )
     monkeypatch.setattr(complexes, "_columns", lambda m: read.append(m) or columns(m))
     complexes.dolbeault_table(dc)
@@ -425,7 +427,10 @@ def test_row_pages_read_de_rham_off_their_own_pairing(monkeypatch):
     assert seen == ["row"]
     seen.clear()
     spectral_pages(dc, "col")
-    assert seen == ["row", "col"]  # de_rham_table's pairing, then its own
+    assert seen == ["col"]  # de Rham from the row pairing, kept in dc's memo
+    seen.clear()
+    spectral_pages(dataclasses.replace(dc), "col")
+    assert seen == ["row", "col"]  # a copy: de_rham_table's pairing, then its own
 
 
 # -- one analysis per complex -------------------------------------------------
@@ -448,6 +453,8 @@ def _analysis_cases():
 def test_analyse_equals_the_engines_run_separately():
     for name, dc, rs in _analysis_cases():
         a = analyse(dc, rs)
+        # a fresh copy (factors kept), so that its memo holds nothing of analyse's
+        dc = dataclasses.replace(dc)
         verdict, col, row = classify(dc, rs)
         decomp = decompose(dc)
         verdict.page1_by_shape = page1_by_shape(decomp)
@@ -471,10 +478,54 @@ def test_analyse_eliminates_tot_once_per_filtration(monkeypatch, make):
 
 
 def test_classify_reads_de_rham_off_its_own_reduction():
-    # a de Rham table handed in with the others is not consulted
+    # a wrong de Rham table in the complex's memo is not consulted
     dc = shuffle_basis(random_zigzag_sum(8)[0], 3)
-    wrong = {**all_tables(dc), "de_rham": {0: 99}}
-    assert classify(dc, None, wrong) == classify(dc)
+    fresh = dataclasses.replace(dc)
+    dc._memo["de_rham"] = {0: 99}
+    assert classify(dc) == classify(fresh)
+    assert dc._memo["de_rham"] == {0: 99}
+
+
+def _count_work(monkeypatch) -> Counter:
+    """`count_reductions` and the calls of `DoubleComplex.validate`."""
+    calls = count_reductions(monkeypatch)
+    validate = DoubleComplex.validate
+    monkeypatch.setattr(DoubleComplex, "validate",
+                        lambda dc: calls.update(["validate"]) or validate(dc))
+    return calls
+
+
+def test_the_engines_validate_and_tabulate_a_complex_once(monkeypatch):
+    # the builder's check is the one validation; classify computes the
+    # tables, reduces Tot once per filtration and leaves de Rham and the
+    # Hodge pieces in the memo, where the other engines find them
+    calls = _count_work(monkeypatch)
+    dc, rs = build_C(random_solvable(0))
+    classify(dc, rs)
+    decompose(dc)
+    all_tables(dc)
+    hodge_pieces(dc)
+    assert calls == {"validate": 1, "_bidegree_tables": 1, "_reduce": 2}
+
+    # decompose first finds no de Rham: de_rham_table's row pairing runs
+    # once, and classify still reduces both filtrations itself
+    calls.clear()
+    dc, rs = build_C(random_solvable(0))
+    decompose(dc)
+    classify(dc, rs)
+    assert calls == {"validate": 1, "_bidegree_tables": 1, "de_rham_table": 1, "_pair": 1,
+                     "_reduce": 2}
+
+
+def test_hodge_pieces_after_an_analysis_reduce_nothing(monkeypatch):
+    # the README tour: analyse, then hodge_pieces on the same complex
+    dc, rs = catalog_complex("heisenberg3-invariant")
+    calls = count_reductions(monkeypatch)
+    a = analyse(dc, rs)
+    pieces = hodge_pieces(dc)
+    assert calls == {"_bidegree_tables": 1, "_reduce": 2}
+    assert pieces.pure == a.verdict.pure
+    assert pieces == hodge_pieces(dataclasses.replace(dc))
 
 
 @pytest.mark.parametrize("name", ["wedge", "square"])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import time
 from collections import Counter
@@ -221,7 +222,7 @@ def test_spent_space_drops_its_maps_and_refuses_a_leak():
 
     def active():
         act = {pq: Matrix.identity(n) for pq, n in dc.spaces.items()}
-        return act, DoubleComplex(dict(dc.spaces), dict(dc.del_maps), dict(dc.delbar_maps))
+        return act, zigzags._Active(dict(dc.spaces), dict(dc.del_maps), dict(dc.delbar_maps))
 
     def spend(act, cur, pq):
         zigzags._shrink(act, cur, pq, Matrix.zero(cur.dim(*pq), 0))
@@ -234,6 +235,7 @@ def test_spent_space_drops_its_maps_and_refuses_a_leak():
     spend(act, cur, (1, 0))
     assert cur.del_maps == cur.delbar_maps == {}
     assert (act[(1, 0)].nrows, act[(1, 0)].ncols, cur.dim(1, 0)) == (1, 0, 0)
+    assert (list(dc.del_maps), list(dc.delbar_maps)) == ([(0, 0)], [(1, 0)])  # untouched
 
 
 def _corrupt_zigzags(monkeypatch, corrupt):
@@ -352,16 +354,17 @@ def test_shape_tables_match_the_planted_shapes():
 
 @pytest.mark.parametrize("name", ["dolbeault", "del", "bott_chern", "aeppli", "de_rham"])
 def test_certificate_refuses_a_wrong_table(name):
-    # decompose given tables trusts them for nothing: they must be the
-    # ones the recovered shapes give
+    # the tables decompose finds in the complex's memo are trusted for
+    # nothing: they must be the ones the recovered shapes give
     shuffled = shuffle_basis(random_zigzag_sum(0)[0], 10**6)
-    tables = all_tables(shuffled)
-    tampered = {**tables, name: dict(tables[name])}
-    key = next(iter(tampered[name]))
-    tampered[name][key] += 1
-    assert len(decompose(shuffled, tables).parts) > 0
+    tampered = dataclasses.replace(shuffled)
+    all_tables(tampered)  # fills the memo
+    memo = tampered._memo
+    table = memo["de_rham"] if name == "de_rham" else memo["tables"][name]
+    table[next(iter(table))] += 1
+    assert len(decompose(shuffled).parts) > 0
     with pytest.raises(InternalError, match="changes a cohomology table"):
-        decompose(shuffled, tampered)
+        decompose(tampered)
 
 
 # sha256 of write_bicomplex(random_zigzag_sum(*args)[0]): the benchmark's
