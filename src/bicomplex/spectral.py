@@ -57,15 +57,37 @@ tables in the memo: two eliminations of Tot per report.
 Hodge pieces and purity need the column operations V as well
 (de Silva-Morozov-Vejdemo-Johansson, "Dualities in persistent
 (co)homology", 2011), so `classify` and `hodge_pieces`, and only they,
-run the two reductions as `linalg.echelon`s that track V and read both
-the pages and the pieces off them.  Unpaired cell j gets the cocycle
+run the two reductions as `Echelon`s that track V and read both the
+pages and the pieces off them.  Unpaired cell j gets the cocycle
 z_j = V_j with lowest cell j; the [z_j] with p(j) >= p are a basis of
 F^p H.  The reduced columns and the z_j have distinct lows and span the
-cocycles, so reducing a cocycle by them in one echelon, with z_j
-standing for [z_j], gives its class coordinates.  There F^p H is a
-coordinate subspace, F̄^q H is spanned by the transposed reduction's
-cocycles w_i with q(i) >= q, the piece F^p H ∩ F̄^q H is checked against
-the d-closed (p, q)-forms, and H^k is pure if its pieces sum directly to it.
+cocycles, so reducing a cocycle by them (`Echelon.reduce`), with z_j
+standing for [z_j], gives its class coordinates.  The transposed
+reduction's cocycles w_i with q(i) >= q give a basis of F̄^q H.  Each
+total degree k then takes one `linalg.lows` pass over the class
+coordinates of its w_i.  The [z_j] come in descending p and the w_i in
+descending q, so F^p H is spanned by the first rows of this
+h^k x h^k matrix and F̄^q H by its first columns.  A lowest-pivot
+column reduction keeps the rank of every lower-left submatrix, and
+once the lows are distinct that rank is the number of lows in it (the
+pairing lemma of Cohen-Steiner, Edelsbrunner and Morozov, "Vines and
+vineyards by updating persistence in linear time", SoCG 2006).  So
+pair each w_i with the [z_j] at its low, at (p(j), q(i)):
+dim F^p H ∩ F̄^q H, which is dim F̄^q H less the rank of its rows off
+F^p H, is the number of pairs at or above (p, q).  One pass gives
+every piece and both filtrations, with no reordering.  H^k is pure iff
+its pieces over the bidegrees of degree k add up to h^k and
+F^p H ∩ F̄^{k-p+1} H = 0 for every p, i.e. the two filtrations are
+k-opposed (Deligne, "Théorie de Hodge II", 1971, §1.2): no pair has
+p(j) + q(i) > k.
+
+Each piece is checked against an independent route, the image of the
+closed (p, q)-forms Z^{p,q} in H^k (the Bott-Chern image), of dimension
+dim Z^{p,q} - dim(B^k ∩ A^{p,q}).  dim Z^{p,q} comes from one lows pass
+over the stack of del over delbar out of (p, q), as `_bidegree_tables`
+ranks it, and B^k ∩ A^{p,q} is counted among the column reduction's
+boundaries with their low in the (p, q) block (`_exact_dims`).  After
+the two reductions no `Echelon.add` runs and no `Matrix` is stacked.
 
 Pages are emitted up to the hard bound past which every d_r vanishes
 for support-bounded complexes.  Early stabilization is NOT trusted:
@@ -87,13 +109,14 @@ from .complexes import (
     _known_de_rham,
     _pair,
     _Pairing,
+    _stacked,
     _tables,
     _total,
     all_tables,
     dolbeault_table,
 )
 from .errors import InternalError
-from .linalg import Column, Echelon, _columns, _combine, _echelon, rank_columns, vstack
+from .linalg import Column, Echelon, _columns, lows
 from .scalars import ONE
 from .zigzags import Decomposition, decompose, page1_by_shape
 
@@ -256,56 +279,98 @@ def _classes(red: _Reduction, ech: Echelon, place: dict[int, int],
     return out
 
 
-def _pieces(col: _Reduction, row: _Reduction) -> HodgePieces:
-    """Hodge pieces and purity from the two reductions of one complex."""
-    dc = col.dc
-    support = dc.bidegrees()
-    ps = [p for p, _ in support]
-    dims, filtration_dims, pure = {}, {}, {}
+def _by_degree(red: _Reduction, js) -> dict[int, list[int]]:
+    """The cell indices js, ascending, grouped by total degree."""
+    out: dict[int, list[int]] = {}
+    for j in sorted(js):
+        p, q = red.cells[j]
+        out.setdefault(p + q, []).append(j)
+    return out
 
-    def untransposed(t: int) -> int:
-        q, p = row.cells[t]
-        return col.start[(p, q)] + t - row.start[(q, p)]
+
+def _closed_dims(dc: DoubleComplex, parts: list[Bidegree]) -> dict[Bidegree, int]:
+    """dim Z^{p,q} = dim(ker del ∩ ker delbar) on each space of parts: the
+    nullity of the stack of del over delbar out of it, from one lows pass
+    over the stored entries, as `_bidegree_tables` ranks the stack."""
+    closed = {}
+    for p, q in parts:
+        d, db = dc.del_maps.get((p, q)), dc.delbar_maps.get((p, q))
+        stack = _stacked(None if d is None else _columns(d), 0,
+                         None if db is None else _columns(db), dc.dim(p + 1, q))
+        closed[(p, q)] = dc.spaces[(p, q)] - sum(low is not None for low in lows(stack))
+    return closed
+
+
+def _exact_dims(red: _Reduction, parts: list[Bidegree], bounds: list[int]) -> dict[Bidegree, int]:
+    """dim(B^k ∩ A^{p,q}) for each space of parts, of degree k, whose
+    reduced boundaries have the lows bounds, ascending.  Those with their
+    low in the (p, q) block are a basis of B^k ∩ F^p modulo B^k ∩ F^{p+1},
+    and B^k ∩ A^{p,q} counts those whose part above the block reduces to
+    zero by the boundaries before the block, which are reduced already,
+    and the block's earlier such parts: one lows pass per block."""
+    ech = red.echelon.cols
+    exact = {}
+    for pq in parts:
+        first = red.start[pq]
+        block = [{i: v for i, v in ech[low].items() if i < first}
+                 for low in bounds if red.cells[low] == pq]
+        before = [ech[low] for low in bounds if low < first] if any(block) else []
+        exact[pq] = lows(before + block)[len(before):].count(None)
+    return exact
+
+
+def _pieces(col: _Reduction, row: _Reduction) -> HodgePieces:
+    """Hodge pieces and purity from the two reductions of one complex, one
+    total degree at a time (see the module docstring)."""
+    dc = col.dc
+    support = dc.bidegrees()  # ascending p
+    prange = range(support[0][0], support[-1][0] + 2) if support else range(0)
+    parts: dict[int, list[Bidegree]] = {}
+    for p, q in support:
+        parts.setdefault(p + q, []).append((p, q))
+    basis, bounds = _by_degree(col, col.cocycles), _by_degree(col, col.echelon.cols)
+    dims, filtration_dims, pure = {}, {}, {}
 
     # R stands for nothing and z_j for [z_j]; their lows are distinct
     ech = Echelon({**col.echelon.cols, **col.cocycles},
                   {**dict.fromkeys(col.echelon.cols, {}), **{j: {j: ONE} for j in col.cocycles}})
-    # each w_i with its bidegree, in the cells of the column reduction
-    conj = [
-        (col.cells[untransposed(i)], {untransposed(t): v for t, v in w.items()})
-        for i, w in sorted(row.cocycles.items())
-    ]
-    for k in sorted({p + q for p, q in support}):
-        basis = [j for j in sorted(col.cocycles) if sum(col.cells[j]) == k]
-        place = {j: n for n, j in enumerate(basis)}
-        hk = len(basis)
-        conj_k = [(pq, w) for pq, w in conj if sum(pq) == k]
-        wq = [q for (_, q), _ in conj_k]
-        w = _classes(col, ech, place, [w for _, w in conj_k])
-        rk = rank_columns(w)
-        if (len(w), rk) != (hk, hk):
-            raise InternalError(f"Hodge pieces: {len(w)} conjugate-filtration cocycles "
+    # each w_i with its q, in the cells of the column reduction, by degree
+    shift = {(q, p): col.start[(p, q)] - row.start[(q, p)] for p, q in support}
+    conj: dict[int, list[tuple[int, Column]]] = {}
+    for i in sorted(row.cocycles):
+        q, p = row.cells[i]
+        w = {t + shift[row.cells[t]]: v for t, v in row.cocycles[i].items()}
+        conj.setdefault(p + q, []).append((q, w))
+    for k, kparts in sorted(parts.items()):
+        # [z_j] in descending p, w_i in descending q: F^p H is a prefix of
+        # the rows, F̄^q H one of the columns
+        zs, ws = basis.get(k, []), conj.get(k, [])
+        hk = len(zs)
+        place = {j: n for n, j in enumerate(zs)}
+        found = lows(_classes(col, ech, place, [w for _, w in ws]))
+        rk = sum(low is not None for low in found)
+        if (len(found), rk) != (hk, hk):
+            raise InternalError(f"Hodge pieces: {len(found)} conjugate-filtration cocycles "
                                 f"of rank {rk} in degree {k}, expected h^{k} = {hk}")
-        zp = [col.cells[j][0] for j in basis]
-        for p in range(min(ps), max(ps) + 2):
+        zp = [col.cells[j][0] for j in zs]
+        wq = [q for q, _ in ws]
+        for p in prange:
             filtration_dims[(k, p)] = (sum(pj >= p for pj in zp), sum(q >= k - p for q in wq))
-        spans: list[Column] = []
-        for (p, q) in (pq for pq in support if sum(pq) == k):
-            # F̄^q is spanned by its vectors of w; F^p is zero off its rows
-            fbar = [v for v, qc in zip(w, wq) if qc >= q]
-            below = {n for n, pj in enumerate(zp) if pj < p}
-            _, _, null = _echelon([{n: x for n, x in v.items() if n in below} for v in fbar])
-            span = [_combine(fbar, z) for z in null]
-            _, _, closed = _echelon(_columns(vstack([dc.del_map(p, q), dc.delbar_map(p, q)])))
-            forms = [{col.start[(p, q)] + r: v for r, v in z.items()} for z in closed]
-            bc = rank_columns(_classes(col, ech, place, forms))
-            if len(span) != bc:
-                raise InternalError(f"filtration intersection {len(span)} != "
+        # w_i paired with [z_low]: dim F^p ∩ F̄^q counts the pairs at least (p, q)
+        pairs = [(zp[low], q) for low, q in zip(found, wq)]
+        closed, exact = _closed_dims(dc, kparts), _exact_dims(col, kparts, bounds.get(k, []))
+        total = 0
+        for p, q in kparts:
+            piece = sum(pz >= p and qw >= q for pz, qw in pairs)
+            bc = closed[(p, q)] - exact[(p, q)]
+            if piece != bc:
+                raise InternalError(f"filtration intersection {piece} != "
                                     f"Bott-Chern image {bc} at ({p},{q})")
-            if span:
-                dims[(p, q)] = len(span)
-            spans += span
-        pure[k] = len(spans) == hk and rank_columns(spans) == hk
+            if piece:
+                dims[(p, q)] = piece
+            total += piece
+        # opposed filtrations: no pair reaches F^p ∩ F̄^{k-p+1}
+        pure[k] = total == hk and all(pz + qw <= k for pz, qw in pairs)
     return HodgePieces(dims, filtration_dims, pure)
 
 

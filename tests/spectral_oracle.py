@@ -15,8 +15,11 @@ Hodge pieces come straight from their definition too, by subspace
 algebra over Tot^k: the classes of Z^k ∩ F^p Tot^k (resp. F̄^q) are the
 subspace (Z^k ∩ F^p) + B^k, with Z^k the full kernel of d, B^k its image
 from Tot^{k-1} and F^p the span of the coordinate blocks with p' >= p.
-`bicomplex.hodge_pieces`, which reads the same dims and purity off
-the class coordinates of two persistence reductions, must agree with it.
+`bicomplex.hodge_pieces`, which pairs the class coordinates of the
+conjugate filtration's cocycles in one lows pass per total degree, must
+agree with it.  `bidegree_pieces`, the subspace algebra per (p, q) that
+`hodge_pieces` once ran on the same two reductions, is cheap enough to
+check it on inputs far too large for `oracle_pieces`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from functools import cache
 
 from bicomplex import (
     DoubleComplex,
+    HodgePieces,
     Matrix,
     ONE,
     Subspace,
@@ -33,6 +37,8 @@ from bicomplex import (
     preimage,
     transpose_complex,
 )
+from bicomplex.linalg import Echelon, _columns, _combine, _echelon, rank_columns, vstack
+from bicomplex.spectral import _classes, _Reduction
 
 Page = tuple[int, dict, dict]  # (r, dims, d_r ranks), zero entries omitted
 
@@ -162,3 +168,53 @@ def oracle_pieces(dc: DoubleComplex) -> tuple[dict, dict, dict]:
             total = total.sum(u)
         pure[k] = total.dim - b.dim == piece_total == hk
     return dims, filtration_dims, pure
+
+
+def bidegree_pieces(col: _Reduction, row: _Reduction) -> HodgePieces:
+    """`bicomplex.hodge_pieces` by subspace algebra per (p, q), from the
+    same two reductions: F^p H ∩ F̄^q H as the null space of F̄^q's class
+    coordinates off F^p's rows, checked against the class coordinates of
+    the closed (p, q)-forms; H^k is pure if the pieces' spans add up to
+    a basis of H^k.  Cheap enough for inputs far too large for
+    `oracle_pieces`."""
+    dc = col.dc
+    support = dc.bidegrees()
+    ps = [p for p, _ in support]
+    dims, filtration_dims, pure = {}, {}, {}
+
+    def untransposed(t: int) -> int:
+        q, p = row.cells[t]
+        return col.start[(p, q)] + t - row.start[(q, p)]
+
+    ech = Echelon({**col.echelon.cols, **col.cocycles},
+                  {**dict.fromkeys(col.echelon.cols, {}), **{j: {j: ONE} for j in col.cocycles}})
+    conj = [
+        (col.cells[untransposed(i)], {untransposed(t): v for t, v in w.items()})
+        for i, w in sorted(row.cocycles.items())
+    ]
+    for k in sorted({p + q for p, q in support}):
+        basis = [j for j in sorted(col.cocycles) if sum(col.cells[j]) == k]
+        place = {j: n for n, j in enumerate(basis)}
+        hk = len(basis)
+        conj_k = [(pq, w) for pq, w in conj if sum(pq) == k]
+        wq = [q for (_, q), _ in conj_k]
+        w = _classes(col, ech, place, [w for _, w in conj_k])
+        assert (len(w), rank_columns(w)) == (hk, hk), f"degree {k}"
+        zp = [col.cells[j][0] for j in basis]
+        for p in range(min(ps), max(ps) + 2):
+            filtration_dims[(k, p)] = (sum(pj >= p for pj in zp), sum(q >= k - p for q in wq))
+        spans = []
+        for (p, q) in (pq for pq in support if sum(pq) == k):
+            # F̄^q is spanned by its vectors of w; F^p is zero off its rows
+            fbar = [v for v, qc in zip(w, wq) if qc >= q]
+            below = {n for n, pj in enumerate(zp) if pj < p}
+            _, _, null = _echelon([{n: x for n, x in v.items() if n in below} for v in fbar])
+            span = [_combine(fbar, z) for z in null]
+            _, _, closed = _echelon(_columns(vstack([dc.del_map(p, q), dc.delbar_map(p, q)])))
+            forms = [{col.start[(p, q)] + r: v for r, v in z.items()} for z in closed]
+            assert len(span) == rank_columns(_classes(col, ech, place, forms)), (p, q)
+            if span:
+                dims[(p, q)] = len(span)
+            spans += span
+        pure[k] = len(spans) == hk and rank_columns(spans) == hk
+    return HodgePieces(dims, filtration_dims, pure)

@@ -174,6 +174,26 @@ def test_validation_error_is_the_library_message(capsys, tmp_path):
     assert (code, *capsys.readouterr()) == (2, "", f"validation error: {raised.value}\n")
 
 
+def test_classify_a_large_parsed_complex_in_any_basis(capsys, tmp_path):
+    # the 448-dim random_solvable(0), written as built and in a shuffled
+    # basis: every line but the input's hash agrees, the Hodge pieces too
+    dc = build_C(random_solvable(0))[0]
+    reports = []
+    for name, c in (("built", dc), ("shuffled", shuffle_basis(dc, 10**6))):
+        f = tmp_path / f"{name}.bicomplex"
+        f.write_text(write_bicomplex(c))
+        code, out = run_cli(capsys, ["classify", str(f), "--format", "machine"])
+        assert code == 0
+        reports.append([line for line in out.splitlines() if not line.startswith("input_sha256")])
+    built, shuffled = reports
+    assert shuffled == built
+    verdict = [line for line in built if not line.startswith(("tool_version", "h ", "e ", "d "))]
+    assert verdict == ["degeneration_F 2", "degeneration_Fbar 2",
+                       *(f"pure {k} true" for k in range(9)),
+                       "ddbar false", "page1_def true", "page1_dims true", "page1_shape true"]
+    assert sum(line.startswith("h ") for line in built) > 100
+
+
 @pytest.mark.parametrize(
     "verb",
     ["validate", "cohomology", "fss", "classify", "decompose", "lie", "solv",

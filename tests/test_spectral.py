@@ -25,13 +25,16 @@ from bicomplex import (
     page1_by_shape,
     random_solvable,
     random_zigzag_sum,
+    report_lines,
     shuffle_basis,
     spectral_pages,
+    transpose_complex,
+    Verdict,
 )
-from bicomplex import complexes, spectral
+from bicomplex import complexes, linalg, spectral
 from bicomplex.linalg import Echelon
 from conftest import ONE_1x1, count_calls, count_reductions, record_pairings, staircase
-from spectral_oracle import oracle_pages, oracle_pieces
+from spectral_oracle import bidegree_pieces, oracle_pages, oracle_pieces
 
 
 def test_first_page_is_dolbeault_everywhere():
@@ -372,6 +375,102 @@ def test_hodge_pieces_match_definitional_oracle(case):
     dc = ORACLE_CASES[case]()
     hp = hodge_pieces(dc)
     assert (hp.dims, hp.filtration_dims, hp.pure) == oracle_pieces(dc)
+
+
+def _per_bidegree_cases():
+    """Inputs too large for `oracle_pieces`, by kind."""
+    return {
+        "zigzag sums": lambda: [shuffle_basis(random_zigzag_sum(seed)[0], seed + 10**6)
+                                for seed in range(300)],
+        "random solvable": lambda: [shuffle_basis(build_C(random_solvable(seed))[0], 10**6)
+                                    for seed in range(4)],
+        "nakamura": lambda: [build(preset(flavor))[0]
+                             for build, preset in ((build_C, nakamura_preset),
+                                                   (build_splitting, nakamura_splitting_preset))
+                             for flavor in ("identically", "real")],
+    }
+
+
+@pytest.mark.parametrize("kind", list(_per_bidegree_cases()))
+def test_hodge_pieces_match_the_per_bidegree_route(kind):
+    # the pairing of each degree's class coordinates against subspace
+    # algebra per (p, q), from the same two reductions, also transposed
+    impure = 0
+    for dc in _per_bidegree_cases()[kind]():
+        for c in (dc, transpose_complex(dc)):
+            col, row = spectral._reduce(c.check(), "col"), spectral._reduce(c, "row")
+            hp = spectral._pieces(col, row)
+            assert hp == bidegree_pieces(col, row)
+            impure += not all(hp.pure.values())
+    assert impure or kind != "zigzag sums"
+
+
+def test_hodge_pieces_eliminate_nothing_after_the_two_reductions(monkeypatch):
+    # no echelon, Echelon.add or stack outside the two reductions: one lows
+    # pass per degree pairs the class coordinates
+    calls = count_calls(monkeypatch, linalg, ("_echelon", "vstack"))
+    add, pieces = Echelon.add, spectral._pieces
+    monkeypatch.setattr(Echelon, "add",
+                        lambda self, col, ops: calls.update(["Echelon.add"]) or add(self, col, ops))
+    def counted_pieces(col, row):  # called on the two reductions: count from here
+        calls.clear()
+        calls["_pieces"] += 1
+        return pieces(col, row)
+
+    monkeypatch.setattr(spectral, "_pieces", counted_pieces)
+    for dc in (shuffle_basis(build_C(random_solvable(0))[0], 10**6), catalog_complex("wedge")[0]):
+        hodge_pieces(dc)
+        assert calls == {"_pieces": 1}
+
+
+@pytest.mark.parametrize("name", ["hline", "vee", "heisenberg3-invariant"])
+def test_pieces_check_the_bott_chern_image(monkeypatch, name):
+    # without the column reduction's last boundary, the image of the closed
+    # forms of its bidegree in de Rham grows by one
+    reduce = spectral._reduce
+
+    def patched(dc, filtration):
+        red = reduce(dc, filtration)
+        if filtration == "col":
+            del red.echelon.cols[max(red.echelon.cols)]
+        return red
+
+    monkeypatch.setattr(spectral, "_reduce", patched)
+    dc, _ = catalog_complex(name)
+    with pytest.raises(InternalError, match="filtration intersection .* != Bott-Chern image"):
+        hodge_pieces(dc)
+
+
+EMPTY_PAGES = [(1, {}, {}), (2, {}, {})]
+DOT_PAGES = [(1, {(0, 0): 1}, {}), (2, {(0, 0): 1}, {})]
+
+
+@pytest.mark.parametrize("make, tables, pieces, pages, parts", [
+    (lambda: DoubleComplex.build({}),
+     {"dolbeault": {}, "del": {}, "bott_chern": {}, "aeppli": {}, "de_rham": {}},
+     ({}, {}, {}), EMPTY_PAGES, []),
+    (lambda: catalog_complex("dot")[0],
+     {"dolbeault": {(0, 0): 1}, "del": {(0, 0): 1}, "bott_chern": {(0, 0): 1},
+      "aeppli": {(0, 0): 1}, "de_rham": {0: 1}},
+     ({(0, 0): 1}, {(0, 0): (1, 1), (0, 1): (0, 1)}, {0: True}), DOT_PAGES, ["zigzag 1 0 0"]),
+], ids=["empty", "dot"])
+def test_the_engines_on_the_smallest_complexes(make, tables, pieces, pages, parts):
+    hp = hodge_pieces(make())
+    assert (hp.dims, hp.filtration_dims, hp.pure) == pieces
+    verdict, col, row = classify(make())
+    assert verdict == Verdict(1, 1, pieces[2], True, True, True, None, True)
+    for filtration, got in (("col", col), ("row", row),
+                            ("col", spectral_pages(make(), "col")),
+                            ("row", spectral_pages(make(), "row"))):
+        assert [(pg.r, pg.dims, pg.dr_ranks) for pg in got] == pages
+        assert {pg.filtration for pg in got} == {filtration}
+    a = analyse(make())
+    assert a.tables == tables == all_tables(make())
+    assert (a.verdict, a.col_pages, a.row_pages) == (
+        dataclasses.replace(verdict, page1_by_shape=True), col, row)
+    decomp = decompose(make())
+    assert [line for line in report_lines(decomp) if not line.startswith("#")] == parts
+    assert decomp.model == make() and a.decomposition.parts == decomp.parts
 
 
 # the four bidegree tables come from one pass (del delbar and the stacks out
